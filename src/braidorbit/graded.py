@@ -1,0 +1,151 @@
+"""Quadratic algebras degree by degree on normal words.
+
+A quadratic algebra A = T(V)/<R> is graded, and its degree-k component is
+
+    A_k = (A_{k-1} (x) V) / span{ sum_ab c_ab NF_{k-1}(u x_a) (x) x_b },
+
+with u running over a basis of A_{k-2} and r = sum_ab c_ab x_a x_b over the
+relations.  Words are ordered by their code (lexicographically, first letter
+most significant) and an echelon form pivots on the smallest word, so the
+leading words of the ideal are the pivots and the *normal words* B_k, those
+that lead no element of the ideal, are the non-pivot columns (Polishchuk and
+Positselski, *Quadratic Algebras*, 2005).  B_k is a basis of A_k, and the
+echelon rows say how each pivot word b x (b in B_{k-1}) rewrites into normal
+words.  Every computation happens inside span(B_{k-1}) (x) V, whose dimension
+grows with dim A_k, never inside the N^k-dimensional word space.
+
+`ideal_span` adds inhomogeneous generators on top of the relations: their
+ideal, modulo the relations, is spanned by the normal forms of u g v with u
+and v normal words, so it too is echelonized among normal words only.
+
+Coefficients are anything `RowSpace` reduces over: `Fraction` or `Scalar`.
+Words are tuples of letters 0..letters-1, the same tuples `NCPoly` uses.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from .linalg import RowSpace
+
+
+def accumulate(target: dict, key, value) -> None:
+    """target[key] += value, dropping the key when the sum vanishes."""
+    s = target.get(key)
+    val = value if s is None else s + value
+    if val:
+        target[key] = val
+    elif s is not None:
+        del target[key]
+
+
+class GradedQuotient:
+    """T(V)/<relations> for homogeneous quadratic relations, grown on demand.
+
+    `relations` are dicts {(a, b): coefficient}.  The ones that enlarge the
+    span are kept in `relations`, in the order given; the others are implied.
+    """
+
+    def __init__(self, letters: int, relations: Iterable[dict]):
+        self.letters = letters
+        space = RowSpace()
+        self.relations = [r for r in relations if space.add(r)]
+        # normal[k]: B_k in word-code order; rewrites[k]: pivot word of
+        # degree k -> its normal form {normal word: coefficient}
+        self.normal = [[()], [(a,) for a in range(letters)]]
+        self.rewrites = [{}, {}]
+        self._close(space)
+
+    def _close(self, space: RowSpace) -> None:
+        """Record degree k from its echelon form over B_{k-1} (x) V."""
+        pivots = space.pivots
+        self.normal.append([b + (a,) for b in self.normal[-1] for a in range(self.letters)
+                            if b + (a,) not in pivots])
+        self.rewrites.append({w: {c: -v for c, v in row.items() if c != w}
+                              for w, row in pivots.items()})
+
+    def grow(self, degree: int) -> None:
+        """Build the components up to `degree`."""
+        while len(self.normal) <= degree:
+            k = len(self.normal)
+            below = self.rewrites[k - 1]
+            space = RowSpace()
+            for u in self.normal[k - 2]:
+                for r in self.relations:
+                    row: dict = {}
+                    for (a, b), c in r.items():
+                        ua = u + (a,)
+                        nf = below.get(ua)
+                        if nf is None:
+                            accumulate(row, ua + (b,), c)
+                        else:
+                            for w, v in nf.items():
+                                accumulate(row, w + (b,), c * v)
+                    space.add(row)
+            self._close(space)
+
+    def dims(self, depth: int) -> list:
+        """dim A_k for k = 0..depth."""
+        self.grow(depth)
+        return [len(self.normal[k]) for k in range(depth + 1)]
+
+    def normal_words(self, degree: int) -> list:
+        """B_degree, the basis of A_degree, in word-code order."""
+        self.grow(degree)
+        return self.normal[degree]
+
+    def normal_form(self, terms: dict) -> dict:
+        """NF of a combination {word: coefficient} of words of any lengths.
+
+        Each word folds left to right: a normal prefix b followed by the
+        next letter x is replaced by NF(b x), read off the rewrite tables.
+        Words sharing a prefix state are folded once.
+        """
+        if terms:
+            self.grow(max(map(len, terms)))
+        out: dict = {}
+        level = {((), w): c for w, c in terms.items()}
+        while level:
+            nxt: dict = {}
+            for (b, rest), c in level.items():
+                if not rest:
+                    accumulate(out, b, c)
+                    continue
+                w = b + rest[:1]
+                tail = rest[1:]
+                nf = self.rewrites[len(w)].get(w)
+                if nf is None:
+                    accumulate(nxt, (w, tail), c)
+                else:
+                    for v, cv in nf.items():
+                        accumulate(nxt, (v, tail), c * cv)
+            level = nxt
+        return out
+
+
+def by_degree(terms: dict) -> dict:
+    """Coordinates keyed by (degree, word): lower degrees are smaller columns."""
+    return {(len(w), w): c for w, c in terms.items()}
+
+
+def ideal_span(algebra, generators: Iterable[dict], max_degree: int) -> RowSpace:
+    """Echelon form of the two-sided ideal of inhomogeneous `generators`
+    modulo the relations of `algebra`, truncated at `max_degree`.
+
+    `algebra` is a `GradedQuotient` or any straightening with the same
+    `normal_words` and `normal_form`.  The rows are NF(u g v) for normal
+    words u, v, in `by_degree` coordinates: a u or v inside the relation
+    ideal would contribute NF = 0, so the span is the ideal's image.
+    """
+    nf = algebra.normal_form
+    space = RowSpace()
+    for g in generators:
+        gdeg = max(map(len, g), default=0)
+        for total_pad in range(max_degree - gdeg + 1):
+            for lpad in range(total_pad + 1):
+                right_words = algebra.normal_words(total_pad - lpad)
+                for u in algebra.normal_words(lpad):
+                    ug = nf({u + w: c for w, c in g.items()})
+                    for v in right_words:
+                        space.add(by_degree(nf({w + v: c for w, c in ug.items()})))
+    return space

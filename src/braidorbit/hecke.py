@@ -28,6 +28,7 @@ from .errors import (
     NotYangBaxter,
     ParseError,
 )
+from .graded import GradedQuotient
 from .linalg import MatrixS, RowSpace, TensorOp, embed_at, flip_op, partial_trace
 from .scalar import EMPTY_TABLE, Scalar, SymbolTable, parse_scalar, qnumber
 
@@ -344,6 +345,12 @@ def multitrace(op: TensorOp, hs: HeckeSymmetry) -> Scalar:
 # ---------------------------------------------------------------------------
 # bi-rank from the Hilbert-Poincare series
 # ---------------------------------------------------------------------------
+#
+# Lambda_R = T(V)/<Im(q^-1 I + R)> and Sym_R = T(V)/<Im(q I - R)> are
+# quadratic algebras.  The graded engine builds each one degree by degree on
+# its normal words, so the k-th series coefficient is the number of normal
+# words of degree k; nothing is framed or echelonized in the N^k word space.
+# At numeric q the relations are converted to Fractions first.
 
 
 @dataclass
@@ -358,40 +365,10 @@ class BiRankReport:
     kq_checked: list = field(default_factory=list)  # q-integers required nonzero
 
 
-def _image_basis(mat: MatrixS) -> list:
-    """Independent columns of `mat` as sparse dicts (basis of the image)."""
-    cols = []
-    space = RowSpace()
-    n = mat.ncols
-    for c in range(n):
-        vec = {r: mat.data[r][c] for r in range(mat.nrows) if mat.data[r][c]}
-        if space.add(vec):
-            cols.append(vec)
-    return cols
-
-
-def _component_dims(hs: HeckeSymmetry, projector_mat: MatrixS, depth: int,
-                    numeric: bool) -> list:
-    """dim of T(V)/<Im projector> components for k = 0..depth."""
-    N = hs.N
-    image = _image_basis(projector_mat)
-    if numeric:
-        image = [{k: v.as_fraction() for k, v in vec.items()} for vec in image]
-    dims = [1, N]
-    for k in range(2, depth + 1):
-        space = RowSpace()
-        size = N ** k
-        for pos in range(k - 1):
-            right = N ** (k - 2 - pos)
-            left = N ** pos
-            for vec in image:
-                for wl in range(left):
-                    base_l = wl * (N * N)
-                    for wr in range(right):
-                        row = {(base_l + pair) * right + wr: v for pair, v in vec.items()}
-                        space.add(row)
-        dims.append(size - space.rank)
-    return dims
+def _column_relations(mat: MatrixS, N: int, numeric: bool) -> list:
+    """Columns of `mat` as quadratic relations {(a, b): coefficient}."""
+    return [{divmod(r, N): (row[c].as_fraction() if numeric else row[c])
+             for r, row in enumerate(mat.data) if row[c]} for c in range(mat.ncols)]
 
 
 def _fit_rational(series: Sequence[int], depth: int):
@@ -462,8 +439,8 @@ def birank(hs: HeckeSymmetry, depth: int) -> BiRankReport:
     ident = MatrixS.identity(hs.table, hs.N * hs.N)
     anti_proj = ident.scale(hs.q.inv()) + hs.R.mat      # its image is quotiented for Lambda
     sym_proj = ident.scale(hs.q) - hs.R.mat             # its image is quotiented for Sym
-    minus = _component_dims(hs, anti_proj, depth, numeric)
-    plus = _component_dims(hs, sym_proj, depth, numeric)
+    minus, plus = (GradedQuotient(hs.N, _column_relations(proj, hs.N, numeric)).dims(depth)
+                   for proj in (anti_proj, sym_proj))
     fit = _fit_rational(minus, depth)
     fit_prev = _fit_rational(minus, depth - 1)
     if fit is None or fit_prev is None or fit != fit_prev:

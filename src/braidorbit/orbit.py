@@ -10,8 +10,12 @@ and its complement realizes the 1-form module.
 Idempotency is certified two ways: structurally (the free-algebra Hankel
 identity plus the Cayley-Hamilton recurrence for the higher power sums) and,
 within the degree cap, by entrywise reduction of ebar^2 - ebar against the
-orbit ideal.  The modified-algebra variant shifts the generators (q != 1) or
-straightens in the enveloping algebra (q = 1).
+orbit ideal.  That reduction works on normal words of the algebra: the orbit
+ideal modulo the relations is spanned by the normal forms of u g v, with g
+an orbit generator and u, v normal words, and an entry vanishes on the orbit
+when its normal form lies in that span.  The normal form is the graded one
+of the plain algebra, reached through the shift substitution for the
+modified algebra at q != 1, and the super-PBW straightening at q = 1.
 """
 
 from __future__ import annotations
@@ -31,19 +35,20 @@ from .errors import (
     ResourceLimit,
     ShiftUnavailable,
 )
+from .graded import by_degree, ideal_span
 from .hecke import HeckeSymmetry
-from .linalg import MatrixS, RowSpace, det_bareiss, inverse
+from .linalg import MatrixS, det_bareiss, inverse
 from .rea import (
+    WORD_SPACE_CAP,
     NCPoly,
     PBWRules,
     RelationSpace,
-    WordIndexer,
     generating_matrix,
-    l_matrix_power,
     nc_matmul,
     power_sum_element,
     relation_space,
     shift_generators,
+    shift_route,
 )
 from .scalar import Scalar, SymbolTable
 from .symfun import (
@@ -357,65 +362,50 @@ def higher_power_reduction(profile: EigenvalueProfile, top: int,
 class OrbitIdealReducer:
     """Membership in the degree-truncated orbit ideal.
 
-    Spanning vectors are word (x) generator (x) word products of the
-    homogeneous quadratic relations and the inhomogeneous orbit generators,
-    echelonized once; reduction against the unique echelon basis gives
-    canonical residuals.
+    The orbit ideal is the relation ideal of `rs` plus the two-sided ideal of
+    the inhomogeneous orbit generators.  Its image modulo the relations is
+    spanned by the normal forms NF(u g v) over normal words u, v
+    (`graded.ideal_span`), echelonized once with columns ordered by degree
+    and then by word code; reducing an element's normal form against that
+    unique echelon basis gives canonical residuals.  A modified-mode `rs`
+    shifts generators and elements into the plain algebra (q != 1) or
+    straightens them (q = 1).
     """
 
     def __init__(self, rs: RelationSpace, extra_generators: Sequence[NCPoly],
                  max_degree: int):
         N = rs.hs.N
-        table = rs.hs.table
-        self.indexer = WordIndexer(N, max_degree)
+        size = sum((N * N) ** d for d in range(max_degree + 1))
+        if size > WORD_SPACE_CAP:
+            raise ResourceLimit(
+                f"word space of dimension {size} exceeds cap {WORD_SPACE_CAP}")
         self.N = N
-        self.table = table
+        self.table = rs.hs.table
         self.max_degree = max_degree
-        space = RowSpace()
-        base = N * N
-        # homogeneous quadratic slice
-        for d in range(2, max_degree + 1):
-            for pos in range(d - 1):
-                left = base ** pos
-                right = base ** (d - 2 - pos)
-                offset = self.indexer.offsets[d]
-                for vec in rs.basis:
-                    for wl in range(left):
-                        for wr in range(right):
-                            row = {offset + (wl * base * base + pair) * right + wr: cval
-                                   for pair, cval in vec.items()}
-                            space.add(row)
-        # inhomogeneous generators framed by words
-        for g in extra_generators:
-            gdeg = g.max_degree()
-            for total_pad in range(max_degree - gdeg + 1):
-                for lpad in range(total_pad + 1):
-                    rpad = total_pad - lpad
-                    for wl in range(base ** lpad):
-                        left_word = _decode(wl, lpad, base)
-                        for wr in range(base ** rpad):
-                            right_word = _decode(wr, rpad, base)
-                            row = {}
-                            for w, cval in g.terms.items():
-                                word = left_word + w + right_word
-                                row[self.indexer.index(word)] = cval
-                            space.add(row)
-        self.space = space
+        self.shift = None
+        if rs.mode == "mrea" and (rs.hs.q - rs.hs.q.inv()).is_zero():
+            parities = rs.hs.parities
+            if parities is None:
+                raise ShiftUnavailable("q = 1 reduction needs a graded flip symmetry")
+            m = parities.count(0)
+            self.quotient = PBWRules(m, len(parities) - m, rs.h)
+        else:
+            if rs.mode == "mrea":
+                rs, self.shift = shift_route(rs)
+                extra_generators = [shift_generators(g, self.shift)
+                                    for g in extra_generators]
+            self.quotient = rs.membership_reducer(max_degree)
+        self.space = ideal_span(self.quotient, [g.terms for g in extra_generators],
+                                max_degree)
 
     def reduce(self, x: NCPoly) -> NCPoly:
         if x.max_degree() > self.max_degree:
             raise ResourceLimit(
                 f"element degree {x.max_degree()} above reducer degree {self.max_degree}")
-        res = self.space.reduce(self.indexer.vector(x))
-        return self.indexer.unvector(res, self.N, self.table)
-
-
-def _decode(code: int, length: int, base: int) -> tuple:
-    out = []
-    for _ in range(length):
-        code, g = divmod(code, base)
-        out.append(g)
-    return tuple(reversed(out))
+        if self.shift is not None:
+            x = shift_generators(x, self.shift)
+        res = self.space.reduce(by_degree(self.quotient.normal_form(x.terms)))
+        return NCPoly(self.N, self.table, {w: c for (_, w), c in res.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +456,14 @@ def _idempotency_entries(ebar: list, hs: HeckeSymmetry) -> list:
     return [sq[r][c] - ebar[r][c] for r in range(n2) for c in range(n2)]
 
 
-def cotangent(hs: HeckeSymmetry, profile: EigenvalueProfile,
-              verify_degree_cap: Optional[int] = None) -> CotangentData:
-    """Build and certify the cotangent idempotent over a regular orbit."""
+def _orbit_pipeline(hs: HeckeSymmetry, profile: EigenvalueProfile,
+                    verify_degree_cap: Optional[int]) -> tuple:
+    """Shared body of `cotangent` and `nc_orbit`.
+
+    Returns (quotient, data, reduction degree or None when the entrywise
+    check was skipped).  The profile picks the route: the plain algebra for
+    h = 0, the shift substitution for q != 1, straightening at q = 1.
+    """
     verdict = regularity(profile)
     if not verdict.regular:
         raise ExceptionalProfile(f"profile is exceptional: {verdict.violated}")
@@ -476,17 +471,26 @@ def cotangent(hs: HeckeSymmetry, profile: EigenvalueProfile,
     certificates = {"regular": True}
     certificates["free_hankel"] = free_hankel_identity(hs, size)
     A, B, H, ebar, e = _idempotent(hs, profile)
-    higher_power_reduction(profile, 2 * size - 2)
+    if not profile.is_mrea:
+        coeffs, mode = ch_values(profile), "braided"
+    elif (profile.q - profile.q.inv()).is_zero():
+        coeffs, mode = _hatted_ch_values_q1(profile), "nc-classical"
+    else:
+        coeffs, mode = hatted_ch_values(profile), "nc"
+    higher_power_reduction(profile, 2 * size - 2, coeff_values=coeffs)
     certificates["power_recurrence"] = True
-    rs = relation_space(hs, "minus")
     targets = [power_sum_param(k, profile) for k in range(1, size + 1)]
     gens = [power_sum_element(k, hs) - NCPoly.const(hs.N, hs.table, targets[k - 1])
             for k in range(1, size + 1)]
     entries = _idempotency_entries(ebar, hs)
     need = max((x.max_degree() for x in entries), default=0)
     cap = verify_degree_cap if verify_degree_cap is not None else need
+    degree = None
     if need <= cap and (hs.N * hs.N) ** max(need, 2) <= 1_000_000:
-        reducer = OrbitIdealReducer(rs, gens, max(need, 2))
+        degree = max(need, 2)
+        rs = (relation_space(hs, "mrea", profile.h) if profile.is_mrea
+              else relation_space(hs, "minus"))
+        reducer = OrbitIdealReducer(rs, gens, degree)
         failures = []
         for idx, x in enumerate(entries):
             res = reducer.reduce(x)
@@ -497,18 +501,29 @@ def cotangent(hs: HeckeSymmetry, profile: EigenvalueProfile,
                 f"idempotency residual nonzero in {len(failures)} entries: "
                 f"first {failures[0]}")
         certificates["entrywise"] = True
-        certificates["reduction_degree"] = max(need, 2)
     else:
         certificates["entrywise"] = False
         certificates["structural_only"] = True
+    quotient = OrbitQuotient(hs=hs, profile=profile, targets=targets, mode=mode)
+    data = CotangentData(A=A, Bmat=B, H=H, ebar=ebar, e=e, certificates=certificates)
+    return quotient, data, degree
+
+
+def cotangent(hs: HeckeSymmetry, profile: EigenvalueProfile,
+              verify_degree_cap: Optional[int] = None) -> CotangentData:
+    """Build and certify the cotangent idempotent over a regular orbit."""
+    _, data, degree = _orbit_pipeline(hs, profile, verify_degree_cap)
+    if degree is not None:
+        data.certificates["reduction_degree"] = degree
     # complement: e^2 - e = ebar^2 - ebar identically, checked cheaply
     n2 = hs.N * hs.N
+    e, ebar = data.e, data.ebar
     esq = nc_matmul(e, e)
     ebarsq = nc_matmul(ebar, ebar)
-    certificates["complement_idempotent"] = all(
+    data.certificates["complement_idempotent"] = all(
         (esq[r][c] - e[r][c]) == (ebarsq[r][c] - ebar[r][c])
         for r in range(n2) for c in range(n2))
-    return CotangentData(A=A, Bmat=B, H=H, ebar=ebar, e=e, certificates=certificates)
+    return data
 
 
 def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile,
@@ -519,97 +534,8 @@ def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile,
     the symmetry must be a (super-)flip and straightening takes over.  The
     h = 0 case degenerates to the plain pipeline.
     """
-    verdict = regularity(profile)
-    if not verdict.regular:
-        raise ExceptionalProfile(f"profile is exceptional: {verdict.violated}")
-    size = profile.m + profile.n
-    q = profile.q
-    xi = q - q.inv()
-    at_q1 = xi.is_zero()
-    certificates = {"regular": True}
-    certificates["free_hankel"] = free_hankel_identity(hs, size)
-    A, B, H, ebar, e = _idempotent(hs, profile)
-    if profile.is_mrea:
-        if at_q1:
-            coeffs = _hatted_ch_values_q1(profile)
-            mode = "nc-classical"
-        else:
-            coeffs = hatted_ch_values(profile)
-            mode = "nc"
-    else:
-        coeffs = ch_values(profile)
-        mode = "braided"
-    higher_power_reduction(profile, 2 * size - 2, coeff_values=coeffs)
-    certificates["power_recurrence"] = True
-    targets = [power_sum_param(k, profile) for k in range(1, size + 1)]
-    gens = [power_sum_element(k, hs) - NCPoly.const(hs.N, hs.table, targets[k - 1])
-            for k in range(1, size + 1)]
-    entries = _idempotency_entries(ebar, hs)
-    need = max((x.max_degree() for x in entries), default=0)
-    cap = verify_degree_cap if verify_degree_cap is not None else need
-    if need <= cap and (hs.N * hs.N) ** max(need, 2) <= 1_000_000:
-        if profile.is_mrea and at_q1:
-            _verify_entries_pbw(hs, profile, gens, entries)
-        elif profile.is_mrea:
-            _verify_entries_shift(hs, profile, gens, entries, max(need, 2))
-        else:
-            rs = relation_space(hs, "minus")
-            reducer = OrbitIdealReducer(rs, gens, max(need, 2))
-            for idx, x in enumerate(entries):
-                if not reducer.reduce(x).is_zero():
-                    raise IdentityFailed(f"idempotency residual in entry {idx}")
-        certificates["entrywise"] = True
-    else:
-        certificates["entrywise"] = False
-        certificates["structural_only"] = True
-    quotient = OrbitQuotient(hs=hs, profile=profile, targets=targets, mode=mode)
-    data = CotangentData(A=A, Bmat=B, H=H, ebar=ebar, e=e, certificates=certificates)
+    quotient, data, _ = _orbit_pipeline(hs, profile, verify_degree_cap)
     return quotient, data
-
-
-def _verify_entries_shift(hs, profile, gens, entries, degree):
-    """Shift to the plain algebra and reduce there (q != 1)."""
-    q = profile.q
-    s = profile.h * (q - q.inv()).inv()
-    rs = relation_space(hs, "minus")
-    shifted_gens = [shift_generators(g, s) for g in gens]
-    reducer = OrbitIdealReducer(rs, shifted_gens, degree)
-    for idx, x in enumerate(entries):
-        res = reducer.reduce(shift_generators(x, s))
-        if not res.is_zero():
-            raise IdentityFailed(f"idempotency residual (shift route) in entry {idx}")
-
-
-def _verify_entries_pbw(hs, profile, gens, entries):
-    """Straightening route at q = 1: reduce normal forms against normal forms."""
-    parities = hs.parities
-    if parities is None:
-        raise ShiftUnavailable("q = 1 reduction needs a graded flip symmetry")
-    m = sum(1 for p in parities if p == 0)
-    n = len(parities) - m
-    rules = PBWRules(m, n, profile.h)
-    need = max(x.max_degree() for x in entries)
-    base = hs.N * hs.N
-    indexer = WordIndexer(hs.N, need)
-    space = RowSpace()
-    for g in gens:
-        gdeg = g.max_degree()
-        for total_pad in range(need - gdeg + 1):
-            for lpad in range(total_pad + 1):
-                rpad = total_pad - lpad
-                for wl in range(base ** lpad):
-                    lw = _decode(wl, lpad, base)
-                    for wr in range(base ** rpad):
-                        rw = _decode(wr, rpad, base)
-                        framed = NCPoly(hs.N, hs.table, {lw + w + rw: c
-                                                         for w, c in g.terms.items()})
-                        nf = rules.reduce(framed)
-                        if not nf.is_zero():
-                            space.add(indexer.vector(nf))
-    for idx, x in enumerate(entries):
-        nf = rules.reduce(x)
-        if space.reduce(indexer.vector(nf)):
-            raise IdentityFailed(f"idempotency residual (straightening) in entry {idx}")
 
 
 def _hatted_ch_values_q1(profile: EigenvalueProfile) -> list:

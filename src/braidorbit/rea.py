@@ -1,26 +1,29 @@
 """Reflection equation algebra engine: relation ideals and exact zero-tests.
 
 Elements are noncommutative polynomials in the entries of the generating
-matrix.  Zero-testing an element modulo the quadratic relation ideal is
-linear algebra on graded components: the degree-d slice of the two-sided
-ideal is spanned by word (x) relation (x) word embeddings, and membership is
-reduction against the unique echelon basis of that span.  No noncommutative
-Groebner machinery is needed because the relations are homogeneous.
+matrix.  The relations are homogeneous and quadratic, so the quotient is
+graded and `graded.GradedQuotient` builds it degree by degree on its normal
+words: the words that lead no element of the ideal, which form a basis of
+each component.  An element is zero in the quotient exactly when its normal
+form vanishes, and a nonzero normal form is the canonical residual.  No
+noncommutative Groebner machinery and no N^(2d)-dimensional word space is
+needed.
 
 The modified algebra (linear right-hand side in the relations) is handled
 through the shift substitution l -> l + (h/(q - 1/q)) I, which turns its
 relations into the plain ones whenever q != 1; at q = 1 the involutive
-quotient is an enveloping algebra and zero-testing goes through the
-super-PBW straightening instead.
+quotient is an enveloping algebra and the normal form is the super-PBW
+straightening instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ChFailed, ResourceLimit, ShiftUnavailable
+from .graded import GradedQuotient, accumulate
 from .hecke import HeckeSymmetry, birank, build_superflip
 from .linalg import MatrixS, RowSpace
 from .scalar import Scalar, SymbolTable
@@ -154,49 +157,6 @@ class NCPoly:
         return f"NCPoly({self})"
 
 
-class WordIndexer:
-    """Linear coordinates on the span of words of degree <= max_degree."""
-
-    def __init__(self, N: int, max_degree: int):
-        self.N = N
-        self.max_degree = max_degree
-        self.offsets = []
-        total = 0
-        for d in range(max_degree + 1):
-            self.offsets.append(total)
-            total += (N * N) ** d
-        self.size = total
-        if self.size > WORD_SPACE_CAP:
-            raise ResourceLimit(
-                f"word space of dimension {self.size} exceeds cap {WORD_SPACE_CAP}")
-
-    def index(self, word: tuple) -> int:
-        d = len(word)
-        code = 0
-        base = self.N * self.N
-        for g in word:
-            code = code * base + g
-        return self.offsets[d] + code
-
-    def word(self, idx: int) -> tuple:
-        d = 0
-        while d + 1 <= self.max_degree and idx >= self.offsets[d + 1]:
-            d += 1
-        code = idx - self.offsets[d]
-        base = self.N * self.N
-        out = []
-        for _ in range(d):
-            code, g = divmod(code, base)
-            out.append(g)
-        return tuple(reversed(out))
-
-    def vector(self, x: NCPoly) -> dict:
-        return {self.index(w): c for w, c in x.terms.items()}
-
-    def unvector(self, vec: dict, N: int, table: SymbolTable) -> NCPoly:
-        return NCPoly(N, table, {self.word(i): c for i, c in vec.items()})
-
-
 # ---------------------------------------------------------------------------
 # generating matrix and relation spaces
 # ---------------------------------------------------------------------------
@@ -285,66 +245,45 @@ def reflection_matrix(hs: HeckeSymmetry, which: str = "minus",
 
 @dataclass
 class RelationSpace:
-    """Echelonized span of the quadratic relation entries."""
+    """Span of the quadratic relation entries and, in the plain modes, the
+    graded quotient they define."""
 
     hs: HeckeSymmetry
     mode: str                      # "rea" or "mrea"
     h: Optional[Scalar]
     relations: list                # NCPoly entries (N^4 of them)
-    basis: list                    # independent sparse degree-2 coefficient vectors
+    basis: list                    # independent coefficient vectors {word: c}
     dim: int
-    _reducers: dict = field(default_factory=dict)
+    quotient: Optional[GradedQuotient] = None
     _rea_view: Optional["RelationSpace"] = None
 
-    def membership_reducer(self, degree: int) -> RowSpace:
-        """Echelon basis of the degree-`degree` slice of the two-sided ideal."""
+    def membership_reducer(self, degree: int) -> GradedQuotient:
+        """The graded quotient, built through `degree`; the normal form it
+        gives is the residual of a zero test."""
         if self.mode == "mrea":
             raise ValueError("graded reducers exist only in the plain mode")
-        if degree in self._reducers:
-            return self._reducers[degree]
-        N = self.hs.N
-        base = N * N
+        base = self.hs.N * self.hs.N
         if base ** degree > WORD_SPACE_CAP:
             raise ResourceLimit(f"degree-{degree} slice has dimension {base ** degree}")
-        space = RowSpace()
-        for pos in range(degree - 1):
-            left = base ** pos
-            right = base ** (degree - 2 - pos)
-            for vec in self.basis:
-                for wl in range(left):
-                    for wr in range(right):
-                        row = {(wl * base * base + pair) * right + wr: c
-                               for pair, c in vec.items()}
-                        space.add(row)
-        self._reducers[degree] = space
-        return space
+        self.quotient.grow(degree)
+        return self.quotient
 
 
 def relation_space(hs: HeckeSymmetry, which: str = "minus",
                    h: Optional[Scalar] = None) -> RelationSpace:
-    entries = reflection_matrix(hs, "mrea" if which == "mrea" else which, h)
-    N = hs.N
-    base = N * N
-    rows = []
-    space = RowSpace()
-    indexer = WordIndexer(N, 2)
-    for rowent in entries:
-        for e in rowent:
-            if e is None or e.is_zero():
-                continue
-            if which == "mrea":
-                vec = indexer.vector(e)
-            else:
-                vec = {}
-                for w, c in e.terms.items():
-                    vec[w[0] * base + w[1]] = c
-            if space.add(vec):
-                rows.append(vec)
-    relations = [e if e is not None else NCPoly.zero(N, hs.table)
-                 for rowent in entries for e in rowent]
-    mode = "mrea" if which == "mrea" else "rea"
-    return RelationSpace(hs=hs, mode=mode, h=h, relations=relations,
-                         basis=rows, dim=space.rank)
+    entries = reflection_matrix(hs, which, h)
+    relations = [e for rowent in entries for e in rowent]
+    vectors = [e.terms for e in relations if not e.is_zero()]
+    if which == "mrea":
+        space = RowSpace()
+        basis = [vec for vec in vectors if space.add(vec)]
+        quotient = None
+    else:
+        quotient = GradedQuotient(hs.N * hs.N, vectors)
+        basis = quotient.relations
+    return RelationSpace(hs=hs, mode="mrea" if which == "mrea" else "rea", h=h,
+                         relations=relations, basis=basis, dim=len(basis),
+                         quotient=quotient)
 
 
 def complementarity_check(hs: HeckeSymmetry) -> bool:
@@ -384,56 +323,36 @@ def shift_generators(x: NCPoly, c: Scalar) -> NCPoly:
 
 
 def is_zero_mod(x: NCPoly, rs: RelationSpace) -> tuple:
-    """Decide x = 0 in the quotient algebra; returns (verdict, residual).
+    """Decide x = 0 in the quotient algebra; returns (verdict, normal form).
 
     Plain mode requires homogeneous input (the ideal is graded).  The
-    modified mode shifts the generators, splits into homogeneous parts and
-    tests each part; it needs q != 1.
+    modified mode shifts the generators and takes the normal form in the
+    plain algebra; it needs q != 1.
     """
     if x.is_zero():
         return True, x
-    N = rs.hs.N
     if rs.mode == "mrea":
-        q = rs.hs.q
-        xi = q - q.inv()
-        if xi.is_zero():
-            raise ShiftUnavailable(
-                "the shift isomorphism degenerates at q = 1; use the PBW route")
-        shifted = shift_generators(x, rs.h * xi.inv())
-        residual = NCPoly.zero(N, x.table)
-        ok = True
-        base_rs = _rea_view(rs)
-        for d in sorted(shifted.degrees()):
-            part_ok, part_res = is_zero_mod(shifted.degree_part(d), base_rs)
-            ok = ok and part_ok
-            residual = residual + part_res
-        return ok, residual
-    if not x.is_homogeneous():
+        rs, shift = shift_route(rs)
+        x = shift_generators(x, shift)
+    elif not x.is_homogeneous():
         raise ValueError("plain-mode zero test needs a homogeneous element")
-    d = x.max_degree()
-    if d < 2:
+    degrees = sorted(d for d in x.degrees() if d >= 2)
+    if not degrees:
         return x.is_zero(), x
-    reducer = rs.membership_reducer(d)
-    base = N * N
-    vec = {}
-    for w, c in x.terms.items():
-        code = 0
-        for g in w:
-            code = code * base + g
-        vec[code] = c
-    res = reducer.reduce(vec)
-    if not res:
-        return True, NCPoly.zero(N, x.table)
-    residual = NCPoly(N, x.table, {_decode_word(i, d, base): c for i, c in res.items()})
-    return False, residual
+    for d in degrees:   # the lowest degree over the cap is the one refused
+        quotient = rs.membership_reducer(d)
+    nf = quotient.normal_form(x.terms)
+    return not nf, NCPoly(x.N, x.table, nf)
 
 
-def _decode_word(code: int, d: int, base: int) -> tuple:
-    out = []
-    for _ in range(d):
-        code, g = divmod(code, base)
-        out.append(g)
-    return tuple(reversed(out))
+def shift_route(rs: RelationSpace) -> tuple:
+    """(plain relation space, shift constant) of a modified-mode space."""
+    q = rs.hs.q
+    xi = q - q.inv()
+    if xi.is_zero():
+        raise ShiftUnavailable(
+            "the shift isomorphism degenerates at q = 1; use the PBW route")
+    return _rea_view(rs), rs.h * xi.inv()
 
 
 def _rea_view(rs: RelationSpace) -> RelationSpace:
@@ -568,55 +487,23 @@ class PBWRules:
         base = self.N * self.N
         gen_parity = [(self.parities[g // self.N] + self.parities[g % self.N]) % 2
                       for g in range(base)]
-        # column order: violations first so they become pivots
-        def word2_key(a, b):
-            if a > b:
-                return (0, a, b)
-            if a == b and gen_parity[a]:
-                return (1, a, b)
-            return (2, a, b)
-
-        order = sorted(((a, b) for a in range(base) for b in range(base)),
-                       key=lambda ab: word2_key(*ab))
-        self.col_of = {}
-        for idx, (a, b) in enumerate(order):
-            self.col_of[(a, b)] = idx
-        deg2 = base * base
-        self.col_of_deg1 = {g: deg2 + g for g in range(base)}
-        self.const_col = deg2 + base
+        # column keys (rank, word...): violations first so they become
+        # pivots, then ordered pairs, single generators and the constant
+        def column(w):
+            if len(w) < 2:
+                return (4 - len(w),) + w
+            a, b = w
+            return (0 if a > b else 1 if a == b and gen_parity[a] else 2, a, b)
 
         entries = reflection_matrix(hs, "mrea", h)
         space = RowSpace()
         for rowent in entries:
             for e in rowent:
-                if e is None or e.is_zero():
-                    continue
-                vec = {}
-                for w, c in e.terms.items():
-                    if len(w) == 2:
-                        vec[self.col_of[(w[0], w[1])]] = c
-                    elif len(w) == 1:
-                        vec[self.col_of_deg1[w[0]]] = c
-                    else:
-                        vec[self.const_col] = c
-                space.add(vec)
+                space.add({column(w): c for w, c in e.terms.items()})
         self.rewrites: dict = {}
-        col_back = {v: k for k, v in self.col_of.items()}
         for col, row in space.pivots.items():
-            if col not in col_back:
-                continue
-            a, b = col_back[col]
-            terms: dict = {}
-            for c2, v in row.items():
-                if c2 == col:
-                    continue
-                if c2 in col_back:
-                    terms[col_back[c2]] = -v
-                elif c2 == self.const_col:
-                    terms[()] = -v
-                else:
-                    terms[(c2 - base * base,)] = -v
-            self.rewrites[(a, b)] = terms
+            if len(col) == 3:
+                self.rewrites[col[1:]] = {c2[1:]: -v for c2, v in row.items() if c2 != col}
         expected = base * (base - 1) // 2 + sum(gen_parity)
         if len(self.rewrites) != expected:
             raise ArithmeticError(
@@ -625,9 +512,17 @@ class PBWRules:
     def is_violation(self, a: int, b: int) -> bool:
         return (a, b) in self.rewrites
 
-    def reduce(self, x: NCPoly) -> NCPoly:
-        """Normal form: all words straightened to weakly increasing order."""
-        work = dict(x.terms)
+    def normal_words(self, degree: int) -> list:
+        """Words of length `degree` with no pair to straighten, in code order."""
+        words = [()]
+        for _ in range(degree):
+            words = [w + (g,) for w in words for g in range(self.N * self.N)
+                     if not w or not self.is_violation(w[-1], g)]
+        return words
+
+    def normal_form(self, terms: dict) -> dict:
+        """Straighten a combination {word: coefficient} to weakly increasing words."""
+        work = dict(terms)
         out: dict = {}
         while work:
             word, coeff = work.popitem()
@@ -637,25 +532,17 @@ class PBWRules:
                     spot = i
                     break
             if spot is None:
-                s = out.get(word)
-                val = coeff if s is None else s + coeff
-                if val:
-                    out[word] = val
-                elif s is not None:
-                    del out[word]
+                accumulate(out, word, coeff)
                 continue
             rule = self.rewrites[(word[spot], word[spot + 1])]
             head, tail = word[:spot], word[spot + 2:]
             for mid, c in rule.items():
-                new_word = head + mid + tail
-                add = coeff * c
-                s = work.get(new_word)
-                val = add if s is None else s + add
-                if val:
-                    work[new_word] = val
-                elif s is not None:
-                    del work[new_word]
-        return NCPoly(x.N, x.table, out)
+                accumulate(work, head + mid + tail, coeff * c)
+        return out
+
+    def reduce(self, x: NCPoly) -> NCPoly:
+        """Normal form: all words straightened to weakly increasing order."""
+        return NCPoly(x.N, x.table, self.normal_form(x.terms))
 
 
 _PBW_CACHE: dict = {}

@@ -131,8 +131,7 @@ class Partition:
 class GenPoly:
     """Commutative polynomial in abstract generators x_1, x_2, ... over Scalar.
 
-    Monomials are sorted tuples of (generator index, exponent).  ``SymExpr``
-    values (elementary basis) and p-basis expansions both use this container.
+    Monomials are sorted tuples of (generator index, exponent).
     """
 
     __slots__ = ("table", "terms")
@@ -247,9 +246,6 @@ def _mono_merge(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(out.items()))
 
 
-SymExpr = GenPoly
-
-
 # ---------------------------------------------------------------------------
 # Newton / Wronski recursions (generic over the coefficient algebra)
 # ---------------------------------------------------------------------------
@@ -355,10 +351,6 @@ def _det_genpoly(rows, table) -> GenPoly:
         term = rows[0][j] * _det_genpoly(minor, table)
         total = total + term if j % 2 == 0 else total - term
     return total
-
-
-def schur_in_a_basis(lam: Partition, table: SymbolTable) -> GenPoly:
-    return jacobi_trudi(lam, table)
 
 
 def ch_coefficients(m: int, n: int, q: Scalar) -> list:

@@ -254,6 +254,8 @@ def test_birank_extremal_cases():
     hs = build_superflip(3, 2)
     rep = birank(hs, 8)
     assert (rep.m, rep.n) == (3, 2)
+    assert rep.minus_series == [1, 5, 12, 20, 28, 36, 44, 52, 60]
+    assert rep.plus_series == [1, 5, 13, 25, 41, 61, 85, 113, 145]
 
 
 def test_birank_inconclusive_depth():

@@ -19,7 +19,7 @@ from braidorbit.orbit import (
     nc_orbit,
     regularity,
 )
-from braidorbit.rea import NCPoly
+from braidorbit.rea import NCPoly, nc_matmul, power_sum_element, relation_space
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable, parse_scalar
 from braidorbit.symfun import EigenvalueProfile, quantum_dims
 
@@ -267,6 +267,37 @@ def test_nc_orbit_gl2_classical_q1():
     assert dims.d[0] == Scalar.from_fraction(t, Fraction(4, 3))
     assert dims.d[1] == Scalar.from_fraction(t, Fraction(2, 3))
     assert data.H.data[0][0] == Scalar.from_fraction(t, 2)
+
+
+def _route_inputs(route):
+    if route == "plain":
+        hs = build_dj_gl(2, parse_scalar("7/5", EMPTY_TABLE))
+        return hs, num_profile([1, 2], [], q="7/5")
+    if route == "shift":
+        t = SymbolTable(["h"])
+        hs = build_dj_gl(2, parse_scalar("7/5", t))
+        return hs, num_profile([1, 2], [], q="7/5", h="h", table=t)
+    t = SymbolTable(["q", "h"])
+    return build_flip(2, t), num_profile(["3*h", "5*h"], [], q=1, h="h", table=t)
+
+
+@pytest.mark.parametrize("route", ["plain", "shift", "pbw"])
+def test_entrywise_certificate_fails_on_perturbed_target(route):
+    # the idempotent is built for the true p_1 value; an orbit ideal whose
+    # p_1 target is off by one must leave some idempotency entry nonzero
+    hs, prof = _route_inputs(route)
+    quotient, data = nc_orbit(hs, prof)
+    assert data.certificates["entrywise"]
+    targets = list(quotient.targets)
+    targets[0] = targets[0] - 1
+    gens = [power_sum_element(k, hs) - NCPoly.const(hs.N, hs.table, t)
+            for k, t in enumerate(targets, 1)]
+    rs = relation_space(hs, "mrea", prof.h) if prof.is_mrea else relation_space(hs, "minus")
+    sq = nc_matmul(data.ebar, data.ebar)
+    n2 = hs.N * hs.N
+    entries = [sq[r][c] - data.ebar[r][c] for r in range(n2) for c in range(n2)]
+    reducer = OrbitIdealReducer(rs, gens, max(max(x.max_degree() for x in entries), 2))
+    assert any(not reducer.reduce(x).is_zero() for x in entries)
 
 
 def test_hatted_ch_values_match_plain_at_h0():
