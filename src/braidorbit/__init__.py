@@ -4,30 +4,24 @@ Cayley-Hamilton identities with quantum eigenvalues, and braided orbits."""
 from .scalar import (
     EMPTY_TABLE,
     FactoredRational,
-    IdentityReport,
     Poly,
     Scalar,
     SymbolTable,
-    arith,
     parse_scalar,
     poly_div_exact,
     poly_gcd,
-    probably_equal,
     qnumber,
 )
 
 __all__ = [
     "EMPTY_TABLE",
     "FactoredRational",
-    "IdentityReport",
     "Poly",
     "Scalar",
     "SymbolTable",
-    "arith",
     "parse_scalar",
     "poly_div_exact",
     "poly_gcd",
-    "probably_equal",
     "qnumber",
 ]
 

@@ -6,8 +6,13 @@ pinned down once and used everywhere:
 
 * monomials are compared by total degree, ties broken lexicographically in
   the symbol-table order (grlex);
-* a ``Scalar`` stores a coprime numerator/denominator pair, the denominator
-  normalized to leading coefficient 1 under that order.
+* a ``Scalar`` has two representations.  A constant carries its value as a
+  single ``Fraction`` and no polynomials, so numeric-q pipelines never enter
+  the polynomial code; its ``num``/``den`` are built only when read.  Any
+  other value stores a coprime numerator/denominator ``Poly`` pair, the
+  denominator normalized to leading coefficient 1 under that order.  The
+  invariant is: a ``Scalar`` is constant exactly when it carries a
+  ``Fraction``.
 
 The multivariate gcd uses recursive content/primitive-part decomposition
 with Brown's subresultant pseudo-remainder sequence, so no factorization is
@@ -19,11 +24,10 @@ exact trial division, which sidesteps general gcds on large intermediates.
 
 from __future__ import annotations
 
-import random
 import re
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -616,18 +620,18 @@ def poly_lcm(f: Poly, g: Poly) -> Poly:
 class Scalar:
     """Element of the fraction field of Q[symbols], kept in canonical form.
 
-    Invariants: denominator nonzero, gcd(num, den) = 1, denominator monic
-    under the grlex order.  Equality is therefore syntactic and agrees with
+    A constant carries its value as one ``Fraction`` and no polynomials; its
+    ``num``/``den`` are built only when read.  Any other value carries a
+    coprime ``Poly`` pair whose denominator is monic under the grlex order.
+    Every constructor returns this form, so a value is constant exactly when
+    it carries a ``Fraction``, and equality is syntactic and agrees with
     cross-multiplication.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("table", "_c", "_num", "_den")
 
-    def __init__(self, num: Poly, den: Poly, *, _normalized: bool = False):
-        if not _normalized:
-            raise ValueError("use Scalar.make / Scalar.from_*")
-        self.num = num
-        self.den = den
+    def __init__(self, *args, **kwargs):
+        raise ValueError("use Scalar.make / Scalar.from_*")
 
     # -- constructors -----------------------------------------------------
 
@@ -635,118 +639,151 @@ class Scalar:
     def make(num: Poly, den: Poly) -> "Scalar":
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        if num.is_zero():
-            return Scalar(num, Poly.const(num.table, 1), _normalized=True)
-        dc = den.const_or_none()
-        if dc is not None:
-            return Scalar(num.scale(1 / dc), Poly.const(num.table, 1), _normalized=True)
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = poly_div_exact(num, g)
-            den = poly_div_exact(den, g)
+        if not num.is_zero() and not den.is_constant():
+            g = poly_gcd(num, den)
+            if not g.is_constant():
+                num = poly_div_exact(num, g)
+                den = poly_div_exact(den, g)
         return Scalar._from_coprime(num, den)
 
     @staticmethod
     def _from_coprime(num: Poly, den: Poly) -> "Scalar":
-        """Normalize a pair already known to be coprime (monic denominator)."""
-        if den.is_zero():
-            raise DivisionByZero("zero denominator")
+        """Normalize a pair already known to be coprime."""
+        table = num.table
+        dc = den.const_or_none()
+        if dc is not None:
+            if not dc:
+                raise DivisionByZero("zero denominator")
+            nc = num.const_or_none()
+            if nc is not None:
+                return _const(table, nc / dc)
+            if dc != 1:
+                num = num.scale(1 / dc)
+                den = Poly.const(table, 1)
+            return _ratio(num, den)
         if num.is_zero():
-            return Scalar(num, Poly.const(num.table, 1), _normalized=True)
+            return _const(table, _ZERO)
         lead = den.leading()[1]
         if lead != 1:
             num = num.scale(1 / lead)
             den = den.scale(1 / lead)
-        return Scalar(num, den, _normalized=True)
+        return _ratio(num, den)
 
     @staticmethod
     def from_fraction(table: SymbolTable, value) -> "Scalar":
-        return Scalar(Poly.const(table, value), Poly.const(table, 1), _normalized=True)
+        return _const(table, Fraction(value))
 
     @staticmethod
     def from_symbol(table: SymbolTable, name: str) -> "Scalar":
-        return Scalar(Poly.symbol(table, name), Poly.const(table, 1), _normalized=True)
+        return _ratio(Poly.symbol(table, name), Poly.const(table, 1))
 
     @staticmethod
     def zero(table: SymbolTable) -> "Scalar":
-        return Scalar.from_fraction(table, 0)
+        return _const(table, _ZERO)
 
     @staticmethod
     def one(table: SymbolTable) -> "Scalar":
-        return Scalar.from_fraction(table, 1)
+        return _const(table, _ONE)
 
     def lift(self, table: SymbolTable) -> "Scalar":
         if table == self.table:
             return self
-        return Scalar(self.num.lift(table), self.den.lift(table), _normalized=True)
+        if self._c is not None:
+            for name in self.table.names:
+                table.index(name)  # UnboundSymbol, as for a polynomial
+            return _const(table, self._c)
+        return _ratio(self._num.lift(table), self._den.lift(table))
 
     # -- properties -----------------------------------------------------
 
     @property
-    def table(self) -> SymbolTable:
-        return self.num.table
+    def num(self) -> Poly:
+        try:
+            return self._num
+        except AttributeError:
+            self._num = Poly.const(self.table, self._c)
+            return self._num
+
+    @property
+    def den(self) -> Poly:
+        try:
+            return self._den
+        except AttributeError:
+            self._den = Poly.const(self.table, 1)
+            return self._den
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        c = self._c
+        return c is not None and not c
 
     def is_one(self) -> bool:
-        return self.den.is_constant() and self.num.const_or_none() == 1
+        return self._c == 1
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        c = self._c
+        return c is None or c != 0
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
+        return self._c is not None
 
     def as_fraction(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        if self._c is None:
+            raise ValueError("polynomial is not constant")
+        return self._c
 
     def const_or_none(self) -> Optional[Fraction]:
-        n = self.num.const_or_none()
-        if n is None:
-            return None
-        d = self.den.const_or_none()
-        if d is None:
-            return None
-        return n / d
+        return self._c
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self, other
-        ac, bc = a.const_or_none(), b.const_or_none()
-        if ac is not None and bc is not None:
-            return Scalar.from_fraction(a.table, ac + bc)
-        if ac is not None and not ac:
-            return b
-        if bc is not None and not bc:
-            return a
-        if a.den == b.den:
-            return Scalar.make(a.num + b.num, a.den)
-        g = poly_gcd(a.den, b.den)
+        if other.__class__ is Scalar and other.table is self.table:
+            b = other
+        else:
+            b = self._coerce(other)
+            if b is NotImplemented:
+                return NotImplemented
+        ac, bc = self._c, b._c
+        if ac is not None:
+            if bc is not None:
+                return _const(self.table, ac + bc)
+            if not ac:
+                return b
+            # n/d + c = (n + c d)/d stays coprime with the same monic d
+            return _ratio(b._num + b._den.scale(ac), b._den)
+        if bc is not None:
+            if not bc:
+                return self
+            return _ratio(self._num + self._den.scale(bc), self._den)
+        an, ad, bn, bd = self._num, self._den, b._num, b._den
+        if ad == bd:
+            return Scalar.make(an + bn, ad)
+        g = poly_gcd(ad, bd)
         if g.is_constant():
             # coprime denominators: result already reduced
-            return Scalar._from_coprime(a.num * b.den + b.num * a.den, a.den * b.den)
-        db = poly_div_exact(b.den, g)
-        da = poly_div_exact(a.den, g)
-        num = a.num * db + b.num * da
-        den = a.den * db
-        return Scalar.make(num, den)
+            return Scalar._from_coprime(an * bd + bn * ad, ad * bd)
+        db = poly_div_exact(bd, g)
+        da = poly_div_exact(ad, g)
+        return Scalar.make(an * db + bn * da, ad * db)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.num, self.den, _normalized=True)
+        if self._c is not None:
+            return _const(self.table, -self._c)
+        return _ratio(-self._num, self._den)
 
     def __sub__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is Scalar and other.table is self.table:
+            b = other
+        else:
+            b = self._coerce(other)
+            if b is NotImplemented:
+                return NotImplemented
+        if self._c is not None and b._c is not None:
+            return _const(self.table, self._c - b._c)
+        return self + (-b)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -755,44 +792,54 @@ class Scalar:
         return other - self
 
     def __mul__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self, other
-        ac, bc = a.const_or_none(), b.const_or_none()
+        if other.__class__ is Scalar and other.table is self.table:
+            b = other
+        else:
+            b = self._coerce(other)
+            if b is NotImplemented:
+                return NotImplemented
+        ac, bc = self._c, b._c
         if ac is not None:
             if bc is not None:
-                return Scalar.from_fraction(a.table, ac * bc)
+                return _const(self.table, ac * bc)
             if not ac:
-                return Scalar.zero(a.table)
-            return Scalar._from_coprime(b.num.scale(ac), b.den)
+                return self
+            return _ratio(b._num.scale(ac), b._den)
         if bc is not None:
             if not bc:
-                return Scalar.zero(a.table)
-            return Scalar._from_coprime(a.num.scale(bc), a.den)
-        g1 = poly_gcd(a.num, b.den)
-        g2 = poly_gcd(b.num, a.den)
-        an = a.num if g1.is_constant() else poly_div_exact(a.num, g1)
-        bd = b.den if g1.is_constant() else poly_div_exact(b.den, g1)
-        bn = b.num if g2.is_constant() else poly_div_exact(b.num, g2)
-        ad = a.den if g2.is_constant() else poly_div_exact(a.den, g2)
+                return b
+            return _ratio(self._num.scale(bc), self._den)
+        an, ad, bn, bd = self._num, self._den, b._num, b._den
+        g1 = poly_gcd(an, bd)
+        g2 = poly_gcd(bn, ad)
+        if not g1.is_constant():
+            an = poly_div_exact(an, g1)
+            bd = poly_div_exact(bd, g1)
+        if not g2.is_constant():
+            bn = poly_div_exact(bn, g2)
+            ad = poly_div_exact(ad, g2)
         return Scalar._from_coprime(an * bn, ad * bd)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def inv(self) -> "Scalar":
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return Scalar._from_coprime(self.den, self.num)
+        c = self._c
+        if c is not None:
+            if not c:
+                raise DivisionByZero("inverse of zero")
+            return _const(self.table, 1 / c)
+        return Scalar._from_coprime(self._den, self._num)
 
     def __truediv__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if b.is_zero():
             raise DivisionByZero("division by zero Scalar")
-        return self * other.inv()
+        if self._c is not None and b._c is not None:
+            return _const(self.table, self._c / b._c)
+        return self * b.inv()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -805,72 +852,101 @@ class Scalar:
             return Scalar.one(self.table)
         if n < 0:
             return self.inv() ** (-n)
-        return Scalar._from_coprime(self.num ** n, self.den ** n)
+        if self._c is not None:
+            return _const(self.table, self._c ** n)
+        return _ratio(self._num ** n, self._den ** n)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.table != self.table:
+            if other.table is not self.table and other.table != self.table:
                 raise ValueError("symbol tables differ")
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar.from_fraction(self.table, other)
+            return _const(self.table, Fraction(other))
         return NotImplemented
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Scalar):
+            if self.table != other.table:
+                return False
+            ac, bc = self._c, other._c
+            if ac is None and bc is None:
+                return self._num == other._num and self._den == other._den
+            return ac is not None and bc is not None and ac == bc
         if isinstance(other, (int, Fraction)):
-            c = self.const_or_none()
-            return c is not None and c == other
-        return (isinstance(other, Scalar) and self.table == other.table
-                and self.num == other.num and self.den == other.den)
+            return self._c is not None and self._c == other
+        return False
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        c = self._c
+        if c is None:
+            return hash((self._num, self._den))
+        # the hash of the (Poly.const(c), Poly.const(1)) pair, without the Polys
+        table = self.table
+        unit = (0,) * len(table)
+        num_terms = frozenset({(unit, c)} if c else ())
+        return hash(((table, num_terms), (table, frozenset({(unit, _ONE)}))))
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, bindings: Mapping[str, Fraction]) -> Fraction:
-        dv = self.den.evaluate(bindings)
+        if self._c is not None:
+            return self._c
+        dv = self._den.evaluate(bindings)
         if not dv:
             raise PoleAtPoint(f"denominator vanishes at {dict(bindings)!r}")
-        return self.num.evaluate(bindings) / dv
+        return self._num.evaluate(bindings) / dv
 
     def substitute(self, bindings: Mapping[str, Fraction]) -> "Scalar":
-        den = self.den.substitute(bindings)
+        if self._c is not None:
+            for name in bindings:
+                self.table.index(name)  # UnboundSymbol, as for a polynomial
+            return self
+        den = self._den.substitute(bindings)
         if den.is_zero():
             raise PoleAtPoint(f"denominator vanishes under {dict(bindings)!r}")
-        return Scalar.make(self.num.substitute(bindings), den)
+        return Scalar.make(self._num.substitute(bindings), den)
 
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den.is_constant():
-            return str(self.num)
-        ns = str(self.num)
-        if len(self.num.terms) > 1:
+        if self._c is not None:
+            return str(self._c)
+        if self._den.is_constant():
+            return str(self._num)
+        ns = str(self._num)
+        if len(self._num.terms) > 1:
             ns = f"({ns})"
-        return f"{ns}/({self.den})"
+        return f"{ns}/({self._den})"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
 
+_new_object = object.__new__
+
+
+def _const(table: SymbolTable, c: Fraction) -> Scalar:
+    """The constant form: the table and one Fraction, no polynomials."""
+    s = _new_object(Scalar)
+    s.table = table
+    s._c = c
+    return s
+
+
+def _ratio(num: Poly, den: Poly) -> Scalar:
+    """The polynomial form of a non-constant value, from a canonical pair."""
+    s = _new_object(Scalar)
+    s.table = num.table
+    s._c = None
+    s._num = num
+    s._den = den
+    return s
+
+
 # ---------------------------------------------------------------------------
-# arith / qnumber entry points
+# qnumber entry points
 # ---------------------------------------------------------------------------
-
-
-def arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Four-function arithmetic, matching the documented operation table."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
 
 def qnumber(k: int, q: Scalar) -> Scalar:
     """The symmetric q-integer (q^k - q^-k)/(q - q^-1), cleared of q-inverses.
@@ -1022,6 +1098,10 @@ class FactoredRational:
 # text grammar
 # ---------------------------------------------------------------------------
 
+# Largest exponent the text grammar accepts; q^k with larger k is refused
+# before the power is computed.
+EXPONENT_CAP = 1000
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-z][a-z0-9_]*)|(\*\*)|([-+*/^()]))")
 
 
@@ -1109,6 +1189,8 @@ class _Parser:
             kind, val = self.next()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer")
+            if val > EXPONENT_CAP:
+                raise ResourceLimit(f"exponent {val} exceeds cap {EXPONENT_CAP}")
             return base ** val
         return base
 
@@ -1132,59 +1214,3 @@ def parse_scalar(text: str, table: SymbolTable) -> Scalar:
     """Parse the scalar text grammar: ints, rationals p/q, symbols, + - * / ^ ( )."""
     return _Parser(_tokenize(text), table).parse()
 
-
-# ---------------------------------------------------------------------------
-# randomized exact identity testing
-# ---------------------------------------------------------------------------
-
-
-class IdentityReport(NamedTuple):
-    equal: bool
-    certified: bool          # False depends on no randomness assumptions
-    trials: int
-    failure_bound: Optional[Fraction]  # Schwartz-Zippel bound when equal=True
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
-_POINT_RANGE = 2 ** 31
-
-
-def probably_equal(x: Scalar, y: Scalar, trials: int = 7, seed: int = 0) -> IdentityReport:
-    """Randomized exact equality test at deterministic pseudo-random points.
-
-    Points have numerators and denominators drawn uniformly from [1, 2^31]
-    by ``random.Random(seed)``.  All arithmetic is exact, so ``equal=False``
-    is a certified inequality; ``equal=True`` carries a Schwartz-Zippel style
-    failure bound of (D/2^31)^trials where D bounds the degree of the
-    cross-multiplied difference.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if x.table != y.table:
-        raise ValueError("symbol tables differ")
-    if x == y:
-        return IdentityReport(True, True, 0, Fraction(0))
-    if not x.table.names:
-        return IdentityReport(x.as_fraction() == y.as_fraction(), True, 0, Fraction(0))
-    rng = random.Random(seed)
-    names = x.table.names
-    deg = max(x.num.total_degree() + y.den.total_degree(),
-              y.num.total_degree() + x.den.total_degree())
-    for _ in range(trials):
-        for attempt in range(11):
-            point = {n: Fraction(rng.randint(1, _POINT_RANGE),
-                                 rng.randint(1, _POINT_RANGE)) for n in names}
-            try:
-                xv = x.evaluate(point)
-                yv = y.evaluate(point)
-            except PoleAtPoint:
-                if attempt == 10:
-                    raise ResourceLimit("too many pole redraws in probably_equal")
-                continue
-            break
-        if xv != yv:
-            return IdentityReport(False, True, trials, None)
-    bound = Fraction(min(deg, _POINT_RANGE), _POINT_RANGE) ** trials
-    return IdentityReport(True, False, trials, bound)

@@ -98,6 +98,12 @@ def test_parse_error_exits_2(capsys):
     assert code == 2
 
 
+def test_huge_exponent_exits_3(capsys):
+    code = main(["check-r", "--builtin", "dj_gl", "--N", "2", "--q", "2^100000000"])
+    assert code == 3
+    assert "exceeds cap" in capsys.readouterr().err
+
+
 def test_koszul_all_checks(capsys):
     code, out = run(capsys, "koszul", "--builtin", "q_super", "--m", "1",
                     "--n", "1", "--q", "9/7", "--check", "all", "--k", "2")

@@ -3,18 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from braidorbit.errors import DivisionByZero, ParseError, PoleAtPoint, UnboundSymbol
+from braidorbit import hecke
+from braidorbit.errors import (
+    DivisionByZero,
+    ParseError,
+    PoleAtPoint,
+    ResourceLimit,
+    UnboundSymbol,
+)
 from braidorbit.scalar import (
+    EMPTY_TABLE,
+    EXPONENT_CAP,
     FactoredRational,
     Poly,
     Scalar,
     SymbolTable,
-    arith,
     cyclotomic,
     parse_scalar,
     poly_div_exact,
     poly_gcd,
-    probably_equal,
     qnumber,
     qnumber_factors,
 )
@@ -53,12 +60,12 @@ def test_basic_arith_and_normalization():
 
 def test_arith_dispatch():
     a, b = sc("q+1"), sc("q-1")
-    assert arith(a, b, "mul") == sc("q^2-1")
-    assert arith(a, b, "add") == sc("2*q")
-    assert arith(a, b, "sub") == sc("2")
-    assert arith(sc("q^2-1"), b, "div") == a
+    assert a * b == sc("q^2-1")
+    assert a + b == sc("2*q")
+    assert a - b == sc("2")
+    assert sc("q^2-1") / b == a
     with pytest.raises(DivisionByZero):
-        arith(a, Scalar.zero(Q), "div")
+        a / Scalar.zero(Q)
 
 
 def test_qnumber_values():
@@ -228,15 +235,106 @@ def test_parser_round_trip_and_errors():
     assert sc(" q +   1 ") == sc("q+1")
 
 
-def test_probably_equal():
-    a = sc("(q+1)*(q-1)")
-    b = sc("q^2-1")
-    rep = probably_equal(a, b, trials=1, seed=1)
-    assert rep.equal and rep.certified  # syntactic equality short-circuit
-    c = sc("q^2")
-    d = sc("q^2+1")
-    rep = probably_equal(c, d, trials=5, seed=1)
-    assert not rep.equal and rep.certified
-    e = sc("(q^3-1)/(q-1)")
-    f = sc("q^2+q+1")
-    assert probably_equal(e, f, trials=3, seed=42).equal
+def test_exponent_cap():
+    assert sc(f"q^{EXPONENT_CAP}") == Scalar.from_symbol(Q, "q") ** EXPONENT_CAP
+    for text in (f"q^{EXPONENT_CAP + 1}", "q^100000000", "2^100000000", "(q+1)^100000000"):
+        with pytest.raises(ResourceLimit):
+            sc(text)
+
+
+QMU = SymbolTable(["q", "mu1"])
+
+
+def _constant_forms(value):
+    """One rational as a Scalar built directly, from constant Polys, by parsing,
+    and by cancellation of a symbolic factor."""
+    p = parse_scalar("q*mu1 + 2*q - 1", QMU)
+    cancelled = (p * value) / p
+    from_polys = Scalar.make(Poly.const(QMU, 3 * value), Poly.const(QMU, 3))
+    parsed = parse_scalar(f"{value.numerator}/{value.denominator}", QMU)
+    q = Scalar.from_symbol(QMU, "q")
+    by_inverse = q * q.inv() * value
+    return [Scalar.from_fraction(QMU, value), from_polys, parsed, cancelled, by_inverse]
+
+
+def _observables(x):
+    return (x, hash(x), str(x), bool(x), x.const_or_none(), x.is_one(),
+            x.is_constant(), x.is_zero(), x.num, x.den)
+
+
+def test_constant_representation_parity():
+    rng = random.Random(4)
+    values = [Fraction(0), Fraction(1), Fraction(-1)] + [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)]
+    symbolic = [_random_scalar(rng, QMU) for _ in range(4)] + [parse_scalar("q/mu1", QMU)]
+    big = SymbolTable(["h", "q", "mu1"])
+    for v in values:
+        forms = _constant_forms(v)
+        ref = forms[0]
+        assert ref.as_fraction() == v
+        # hash and str are those of the (num, den) Poly pair
+        assert hash(ref) == hash((ref.num, ref.den))
+        assert str(ref) == str(ref.num)
+        for x in forms:
+            assert x == v and x.as_fraction() == v
+            assert _observables(x) == _observables(ref)
+            assert -x == Scalar.from_fraction(QMU, -v)
+            assert x.lift(big) == Scalar.from_fraction(big, v)
+            assert x.substitute({"q": 2}) == ref
+            assert x ** 0 == Scalar.one(QMU)
+            assert x ** 3 == Scalar.from_fraction(QMU, v ** 3)
+            if v:
+                assert x.inv() == Scalar.from_fraction(QMU, 1 / v)
+                assert x ** -2 == Scalar.from_fraction(QMU, v ** -2)
+            else:
+                with pytest.raises(DivisionByZero):
+                    x.inv()
+            for w in values[:4]:
+                for y in _constant_forms(w):
+                    assert x + y == Scalar.from_fraction(QMU, v + w)
+                    assert x - y == Scalar.from_fraction(QMU, v - w)
+                    assert x * y == Scalar.from_fraction(QMU, v * w)
+                    if w:
+                        assert x / y == Scalar.from_fraction(QMU, v / w)
+            # reference: the generic cross-multiplied pair, normalized by make
+            pair = Scalar.make
+            for s in symbolic:
+                assert x + s == s + x == pair(x.num * s.den + s.num * x.den, x.den * s.den)
+                assert x - s == pair(x.num * s.den - s.num * x.den, x.den * s.den)
+                assert x * s == s * x == pair(x.num * s.num, x.den * s.den)
+                if v:
+                    assert s / x == pair(s.num * x.den, s.den * x.num)
+                if s:
+                    assert x / s == pair(x.num * s.den, x.den * s.num)
+                assert (x * s).is_constant() == (not v)
+    other = SymbolTable(["q"])
+    with pytest.raises(ValueError, match="symbol tables differ"):
+        Scalar.one(QMU) + Scalar.one(other)
+    with pytest.raises(ValueError, match="symbol tables differ"):
+        Scalar.one(QMU) * Scalar.from_fraction(other, 2)
+    with pytest.raises(ValueError, match="symbol tables differ"):
+        Scalar.one(QMU) / Scalar.from_fraction(other, 2)
+    with pytest.raises(ValueError, match="symbol tables differ"):
+        Scalar.one(QMU) - Scalar.from_fraction(other, 2)
+    assert Scalar.one(QMU) != Scalar.one(other)
+    with pytest.raises(ValueError, match="not constant"):
+        parse_scalar("q/mu1", QMU).as_fraction()
+
+
+def test_numeric_q_pipeline_builds_no_poly(monkeypatch):
+    built = []
+    init = Poly.__init__
+
+    def counting_init(self, table, terms):
+        built.append(1)
+        init(self, table, terms)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    q = parse_scalar("7/5", EMPTY_TABLE)
+    hs = hecke.build_builtin("dj_gl", N=3, q=q)
+    assert all(hecke.validation_report(hs).values())
+    assert str(hs.c_op.trace()) == "21255/16807"
+    assert len(built) == 0
+    # the counter sees the polynomial path
+    hecke.build_builtin("dj_gl", N=2, q=Scalar.from_symbol(Q, "q"))
+    assert built
