@@ -130,9 +130,6 @@ def _cmd_ch(args) -> Report:
     coeffs = symfun.ch_coefficients(m, n, hs.q)
     for i, c in enumerate(coeffs):
         print(f"coefficient of L^{m + n - i}: {c.to_str('a')}")
-    even, odd = symfun.ch_factorized(m, n, hs.q)
-    rep.add("factorization-consistency", True,
-            even_degrees=len(even) - 1, odd_degrees=len(odd) - 1)
     if args.verify:
         ok, report = rea.ch_verify(hs, m, n)
         rep.add("ch-identity", ok, degree=report["degree"],

@@ -61,10 +61,6 @@ class DegenerateProfile(EngineError):
     pass
 
 
-class FactorizationMismatch(EngineError):
-    pass
-
-
 class ShiftUnavailable(EngineError):
     pass
 

@@ -7,9 +7,10 @@ both residuals must vanish exactly, and the skew inverse Psi (the solution of
 Tr_2 R12 Psi23 = sigma13) must exist.  The partial traces B = Tr_1 Psi and
 C = Tr_2 Psi of the skew inverse define the quantum trace Tr_R M = Tr(M C).
 
-Matrix convention: entries are stored operator-style, ``mat[out][in]``, and
+Matrix convention: R and Psi are sparse ``TensorOp``s whose entries are
+stored operator-style, ``mat.rows[out][in]``, and
 R(e_i (x) e_j) = sum_kl R[(k,l)][(i,j)] e_k (x) e_l with multi-indices encoded
-big-endian.
+big-endian.  Only B and C are dense N x N matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +30,16 @@ from .errors import (
     ParseError,
 )
 from .graded import GradedQuotient
-from .linalg import MatrixS, RowSpace, TensorOp, embed_at, flip_op, partial_trace
+from .linalg import (
+    MatrixS,
+    RowSpace,
+    SparseMat,
+    TensorOp,
+    _check_alloc,
+    embed_at,
+    flip_op,
+    partial_trace,
+)
 from .scalar import EMPTY_TABLE, Scalar, SymbolTable, parse_scalar, qnumber
 
 
@@ -51,13 +61,17 @@ class HeckeSymmetry:
     def r_inv(self) -> TensorOp:
         # Hecke relation gives R^-1 = R - (q - 1/q) I
         xi = self.q - self.q.inv()
-        ident = MatrixS.identity(self.table, self.N * self.N)
-        return TensorOp(self.N, 2, self.R.mat - ident.scale(xi))
+        return self.R - TensorOp.identity(self.table, self.N, 2).scale(xi)
 
     def lift(self, table: SymbolTable) -> "HeckeSymmetry":
         """Same symmetry with scalars re-expressed over a larger symbol table."""
         if table == self.table:
             return self
+
+        def lift_op(op: TensorOp) -> TensorOp:
+            rows = {i: {j: a.lift(table) for j, a in row.items()}
+                    for i, row in op.mat.rows.items()}
+            return TensorOp(op.N, op.arity, SparseMat(op.mat.nrows, op.mat.ncols, rows), table)
 
         def lift_mat(m: MatrixS) -> MatrixS:
             return MatrixS(table, [[a.lift(table) for a in row] for row in m.data])
@@ -67,8 +81,8 @@ class HeckeSymmetry:
             N=self.N,
             table=table,
             q=self.q.lift(table),
-            R=TensorOp(self.N, 2, lift_mat(self.R.mat)),
-            psi=TensorOp(self.N, 2, lift_mat(self.psi.mat)),
+            R=lift_op(self.R),
+            psi=lift_op(self.psi),
             b_op=lift_mat(self.b_op),
             c_op=lift_mat(self.c_op),
             parities=self.parities,
@@ -81,102 +95,92 @@ class HeckeSymmetry:
 
 
 def yang_baxter_residual(R: TensorOp) -> TensorOp:
+    """R12 R23 R12 - R23 R12 R23."""
     r12 = embed_at(R, 1, 3)
     r23 = embed_at(R, 2, 3)
     return r12 * r23 * r12 - r23 * r12 * r23
 
 
-def hecke_residual(R: TensorOp, q: Scalar) -> MatrixS:
-    n2 = R.N * R.N
-    ident = MatrixS.identity(R.table, n2)
-    return (ident.scale(q) - R.mat) * (ident.scale(q.inv()) + R.mat)
+def hecke_residual(R: TensorOp, q: Scalar) -> TensorOp:
+    """(qI - R)(q^-1 I + R)."""
+    ident = TensorOp.identity(R.table, R.N, 2)
+    return (ident.scale(q) - R) * (ident.scale(q.inv()) + R)
+
+
+def skew_inverse_residual(R: TensorOp, psi: TensorOp) -> TensorOp:
+    """Tr_2 R12 Psi23 - sigma13, computed through the tensor-op route."""
+    traced = partial_trace(embed_at(R, 1, 3) * embed_at(psi, 2, 3), 2)
+    return traced - flip_op(R.table, R.N)
 
 
 def solve_skew_inverse(R: TensorOp) -> TensorOp:
-    """Solve Tr_2 R12 Psi23 = sigma13 for Psi: a square N^4 linear system."""
+    """Solve Tr_2 R12 Psi23 = sigma13 for Psi: a square N^4 linear system.
+
+    The equation of row (o1, o3, i1, i3) reads
+    sum_{t,m} R[(o1,t)][(i1,m)] Psi[(m,o3)][(t,i3)] = [o1 = i3][o3 = i1],
+    so each stored entry of R contributes one coefficient to N^2 rows.
+    `validate` bounds its size before anything is built.
+    """
     N = R.N
     table = R.table
-    one = Scalar.one(table)
-
-    def enc2(a, b):
-        return a * N + b
-
-    # unknown index for Psi[(m,o3)][(t,i3)]
-    def unk(m, o3, t, i3):
-        return ((m * N + o3) * N + t) * N + i3
-
     naug = N ** 4
-    rdata = R.mat.data
+    # stored entries of R grouped by (o1, i1): [(t, m, coefficient)]
+    by_pair: dict = {}
+    for r, row in R.mat.rows.items():
+        o1, t = divmod(r, N)
+        for c, coef in row.items():
+            i1, m = divmod(c, N)
+            by_pair.setdefault((o1, i1), []).append((t, m, coef))
+    minus_one = -Scalar.one(table)
     space = RowSpace()
-    rows = []
     for o1 in range(N):
         for o3 in range(N):
             for i1 in range(N):
+                # unknown index of Psi[(m,o3)][(t,i3)] is ((m*N + o3)*N + t)*N + i3
                 for i3 in range(N):
-                    row: dict = {}
-                    for t in range(N):
-                        r_row = rdata[enc2(o1, t)]
-                        for m in range(N):
-                            coef = r_row[enc2(i1, m)]
-                            if coef:
-                                u = unk(m, o3, t, i3)
-                                s = row.get(u)
-                                val = coef if s is None else s + coef
-                                if val:
-                                    row[u] = val
-                                elif s is not None:
-                                    del row[u]
-                    rhs = one if (o1 == i3 and o3 == i1) else None
-                    if rhs is not None:
-                        row[naug] = -rhs
-                    rows.append(row)
-    for row in rows:
-        space.add(row)
+                    row = {((m * N + o3) * N + t) * N + i3: coef
+                           for t, m, coef in by_pair.get((o1, i1), ())}
+                    if o1 == i3 and o3 == i1:
+                        row[naug] = minus_one
+                    space.add(row)
     if naug in space.pivots:
         raise NotSkewInvertible("skew-inverse system is inconsistent")
     if len(space.pivots) < naug:
         raise NotSkewInvertible("skew-inverse system is singular")
-    zero = Scalar.zero(table)
-    psi = MatrixS.zeros(table, N * N, N * N)
+    rows: dict = {}
     for c, prow in space.pivots.items():
         value = prow.get(naug)
-        x = -value if value is not None else zero
-        m, rem = divmod(c, N ** 3)
-        o3, rem = divmod(rem, N ** 2)
-        t, i3 = divmod(rem, N)
-        psi.data[enc2(m, o3)][enc2(t, i3)] = x
-    return TensorOp(N, 2, psi)
+        if value is not None:
+            mo3, ti3 = divmod(c, N * N)
+            rows.setdefault(mo3, {})[ti3] = -value
+    return TensorOp(N, 2, SparseMat(N * N, N * N, rows), table)
 
 
 def validate(name: str, N: int, table: SymbolTable, q: Scalar, R: TensorOp,
              parities: Optional[tuple] = None) -> HeckeSymmetry:
+    # The skew-inverse system is the largest structure built here: a row only
+    # meets the N^2 unknowns sharing its (o3, i3), so elimination stores at
+    # most N^4 rows of N^2 + 1 entries.  Refuse before any residual is formed.
+    _check_alloc(N ** 4 * (N * N + 1))
     if not yang_baxter_residual(R).is_zero():
         raise NotYangBaxter(f"{name}: Yang-Baxter residual is nonzero")
     if not hecke_residual(R, q).is_zero():
         raise NotHecke(f"{name}: Hecke residual is nonzero")
     psi = solve_skew_inverse(R)
-    # independent check through the tensor-op route
-    r12 = embed_at(R, 1, 3)
-    psi23 = embed_at(psi, 2, 3)
-    traced = partial_trace(r12 * psi23, 2)
-    sigma13 = flip_op(table, N)
-    if not (traced.mat - sigma13.mat).is_zero():
+    if not skew_inverse_residual(R, psi).is_zero():
         raise NotSkewInvertible(f"{name}: skew-inverse residual is nonzero")
-    b_op = partial_trace(psi, 1).mat
-    c_op = partial_trace(psi, 2).mat
+    b_op = partial_trace(psi, 1).mat.to_dense(table)
+    c_op = partial_trace(psi, 2).mat.to_dense(table)
     return HeckeSymmetry(name=name, N=N, table=table, q=q, R=R,
                          psi=psi, b_op=b_op, c_op=c_op, parities=parities)
 
 
 def validation_report(hs: HeckeSymmetry) -> dict:
-    """Exact residual statuses for an already built symmetry."""
-    r12 = embed_at(hs.R, 1, 3)
-    psi23 = embed_at(hs.psi, 2, 3)
-    skew = partial_trace(r12 * psi23, 2).mat - flip_op(hs.table, hs.N).mat
+    """Exact residual statuses for an already built symmetry, recomputed."""
     return {
         "yang_baxter": yang_baxter_residual(hs.R).is_zero(),
         "hecke": hecke_residual(hs.R, hs.q).is_zero(),
-        "skew_inverse": skew.is_zero(),
+        "skew_inverse": skew_inverse_residual(hs.R, hs.psi).is_zero(),
     }
 
 
@@ -195,13 +199,36 @@ def build_superflip(m: int, n: int, table: SymbolTable = EMPTY_TABLE) -> HeckeSy
     """Graded flip on a super space with m even and n odd directions (q = 1)."""
     N = m + n
     parities = tuple([0] * m + [1] * n)
-    mat = MatrixS.zeros(table, N * N, N * N)
+    rows = {j * N + i: {i * N + j: Scalar.from_fraction(
+                table, -1 if parities[i] and parities[j] else 1)}
+            for i in range(N) for j in range(N)}
+    return validate(f"superflip({m},{n})", N, table, Scalar.one(table),
+                    TensorOp(N, 2, SparseMat(N * N, N * N, rows), table),
+                    parities=parities)
+
+
+def _deformed_flip(q: Scalar, parities: tuple) -> TensorOp:
+    """Standard q-deformation of the graded flip with the given parities.
+
+    R(e_i (x) e_i) = q e_i (x) e_i (even i) or -q^-1 e_i (x) e_i (odd i);
+    for i != j, R(e_i (x) e_j) = +-e_j (x) e_i, minus when both are odd,
+    plus xi e_i (x) e_j when i < j (xi = q - 1/q).
+    """
+    table = q.table
+    N = len(parities)
+    xi = q - q.inv()
+    rows: dict = {}
     for i in range(N):
         for j in range(N):
-            sign = -1 if parities[i] and parities[j] else 1
-            mat.data[j * N + i][i * N + j] = Scalar.from_fraction(table, sign)
-    return validate(f"superflip({m},{n})", N, table, Scalar.one(table),
-                    TensorOp(N, 2, mat), parities=parities)
+            col = i * N + j
+            if i == j:
+                rows.setdefault(col, {})[col] = q if parities[i] == 0 else -q.inv()
+            else:
+                sign = -1 if parities[i] and parities[j] else 1
+                rows.setdefault(j * N + i, {})[col] = Scalar.from_fraction(table, sign)
+                if i < j and xi:
+                    rows.setdefault(col, {})[col] = xi
+    return TensorOp(N, 2, SparseMat(N * N, N * N, rows), table)
 
 
 def build_dj_gl(N: int, q: Scalar) -> HeckeSymmetry:
@@ -214,19 +241,8 @@ def build_dj_gl(N: int, q: Scalar) -> HeckeSymmetry:
     table = q.table
     if q.is_zero():
         raise BadDeformationParameter("q must be nonzero")
-    xi = q - q.inv()
-    mat = MatrixS.zeros(table, N * N, N * N)
-    for i in range(N):
-        for j in range(N):
-            col = i * N + j
-            if i == j:
-                mat.data[col][col] = q
-            else:
-                mat.data[j * N + i][col] = Scalar.one(table)
-                if i < j:
-                    mat.data[col][col] = xi
-    return validate(f"dj_gl({N})", N, table, q, TensorOp(N, 2, mat),
-                    parities=tuple([0] * N))
+    return validate(f"dj_gl({N})", N, table, q, _deformed_flip(q, (0,) * N),
+                    parities=(0,) * N)
 
 
 def build_q_super(m: int, n: int, q: Scalar) -> HeckeSymmetry:
@@ -234,21 +250,8 @@ def build_q_super(m: int, n: int, q: Scalar) -> HeckeSymmetry:
     table = q.table
     if q.is_zero():
         raise BadDeformationParameter("q must be nonzero")
-    N = m + n
     parities = tuple([0] * m + [1] * n)
-    xi = q - q.inv()
-    mat = MatrixS.zeros(table, N * N, N * N)
-    for i in range(N):
-        for j in range(N):
-            col = i * N + j
-            if i == j:
-                mat.data[col][col] = q if parities[i] == 0 else -q.inv()
-            else:
-                sign = -1 if parities[i] and parities[j] else 1
-                mat.data[j * N + i][col] = Scalar.from_fraction(table, sign)
-                if i < j:
-                    mat.data[col][col] = xi
-    return validate(f"q_super({m},{n})", N, table, q, TensorOp(N, 2, mat),
+    return validate(f"q_super({m},{n})", m + n, table, q, _deformed_flip(q, parities),
                     parities=parities)
 
 
@@ -270,7 +273,7 @@ def build_from_file(path: str) -> HeckeSymmetry:
         symbols = doc.get("symbols", [])
         table = SymbolTable(symbols)
         q = parse_scalar(str(doc.get("q", "1")), table)
-        mat = MatrixS.zeros(table, N * N, N * N)
+        rows: dict = {}
         for entry in doc["entries"]:
             k, l = entry["out_pair"]
             i, j = entry["in_pair"]
@@ -278,10 +281,12 @@ def build_from_file(path: str) -> HeckeSymmetry:
                 if not 1 <= idx <= N:
                     raise ParseError(f"index {idx} out of range 1..{N}")
             value = parse_scalar(str(entry["value"]), table)
-            mat.data[(k - 1) * N + (l - 1)][(i - 1) * N + (j - 1)] = value
+            rows.setdefault((k - 1) * N + (l - 1), {})[(i - 1) * N + (j - 1)] = value
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed R-matrix file {path!r}: {exc}") from exc
-    return validate(f"file({path})", N, table, q, TensorOp(N, 2, mat))
+    rows = {r: nz for r, row in rows.items() if (nz := {c: v for c, v in row.items() if v})}
+    return validate(f"file({path})", N, table, q,
+                    TensorOp(N, 2, SparseMat(N * N, N * N, rows), table))
 
 
 def build_builtin(kind: str, *, N: int = 0, m: int = 0, n: int = 0,
@@ -327,18 +332,24 @@ def rtrace(M, hs: HeckeSymmetry):
     return total
 
 
+def c_power(hs: HeckeSymmetry, k: int) -> SparseMat:
+    """C^(x k) on V^(tensor k), built from the stored entries of C."""
+    c = SparseMat.from_dense(hs.c_op)
+    out = c
+    for _ in range(k - 1):
+        out = out.kron(c)
+    return out
+
+
 def multitrace(op: TensorOp, hs: HeckeSymmetry) -> Scalar:
     """Tr_R(1..k) of an operator on V^(tensor k): Tr(op . C^(x k))."""
-    ckron = hs.c_op
-    for _ in range(op.arity - 1):
-        ckron = ckron.kron(hs.c_op)
+    ckron = c_power(hs, op.arity).rows
     total = Scalar.zero(hs.table)
-    for a, row in enumerate(op.mat.data):
-        for b, v in enumerate(row):
-            if v:
-                cv = ckron.data[b][a]
-                if cv:
-                    total = total + v * cv
+    for a, row in op.mat.rows.items():
+        for b, v in row.items():
+            cv = ckron.get(b, {}).get(a)
+            if cv is not None:
+                total = total + v * cv
     return total
 
 
@@ -365,10 +376,12 @@ class BiRankReport:
     kq_checked: list = field(default_factory=list)  # q-integers required nonzero
 
 
-def _column_relations(mat: MatrixS, N: int, numeric: bool) -> list:
-    """Columns of `mat` as quadratic relations {(a, b): coefficient}."""
-    return [{divmod(r, N): (row[c].as_fraction() if numeric else row[c])
-             for r, row in enumerate(mat.data) if row[c]} for c in range(mat.ncols)]
+def _column_relations(op: TensorOp, numeric: bool) -> list:
+    """Columns of `op` as quadratic relations {(a, b): coefficient}."""
+    N = op.N
+    columns = op.mat.transpose().rows
+    return [{divmod(r, N): (v.as_fraction() if numeric else v)
+             for r, v in sorted(columns.get(c, {}).items())} for c in range(op.mat.ncols)]
 
 
 def _fit_rational(series: Sequence[int], depth: int):
@@ -435,11 +448,11 @@ def birank(hs: HeckeSymmetry, depth: int) -> BiRankReport:
                 raise BadDeformationParameter(f"{k}_q vanishes at q = {qv}")
             kq_checked.append(k)
     numeric = not hs.table.names or all(
-        a.is_constant() for row in hs.R.mat.data for a in row)
-    ident = MatrixS.identity(hs.table, hs.N * hs.N)
-    anti_proj = ident.scale(hs.q.inv()) + hs.R.mat      # its image is quotiented for Lambda
-    sym_proj = ident.scale(hs.q) - hs.R.mat             # its image is quotiented for Sym
-    minus, plus = (GradedQuotient(hs.N, _column_relations(proj, hs.N, numeric)).dims(depth)
+        a.is_constant() for row in hs.R.mat.rows.values() for a in row.values())
+    ident = TensorOp.identity(hs.table, hs.N, 2)
+    anti_proj = ident.scale(hs.q.inv()) + hs.R      # its image is quotiented for Lambda
+    sym_proj = ident.scale(hs.q) - hs.R             # its image is quotiented for Sym
+    minus, plus = (GradedQuotient(hs.N, _column_relations(proj, numeric)).dims(depth)
                    for proj in (anti_proj, sym_proj))
     fit = _fit_rational(minus, depth)
     fit_prev = _fit_rational(minus, depth - 1)

@@ -12,7 +12,9 @@ symmetrizers are its quadratic combinations:
 
 and the cubic symmetrizer on three factors is assembled out of the two
 position embeddings of P+ with the documented constants.  All projector
-axioms are verified exactly at build time.
+axioms are verified exactly at build time.  Every operator here is sparse:
+the braidings are ``TensorOp``s, and Q is the Kronecker product of their
+stored entries.
 
 Quantum-trace elements have closed hatted coefficient vectors: the trace
 vector of Tr_R L^k is the transpose of (trailing matrix) . C^(x k), with the
@@ -32,8 +34,8 @@ from .errors import (
     IdentityFailed,
     ProjectorAxiomFailed,
 )
-from .hecke import HeckeSymmetry
-from .linalg import MatrixS, RowSpace, SparseMat, embed_at
+from .hecke import HeckeSymmetry, c_power
+from .linalg import RowSpace, SparseMat, TensorOp, embed_at
 from .rea import NCPoly, generating_matrix, nc_matmul, scalar_matrix_to_nc
 from .scalar import Scalar, qnumber
 
@@ -43,13 +45,9 @@ from .scalar import Scalar, qnumber
 # ---------------------------------------------------------------------------
 
 
-def _sparse_t(m: MatrixS) -> SparseMat:
-    return SparseMat.from_dense(m).transpose()
-
-
-def _conjugation_op(rm: MatrixS, rinv: MatrixS) -> SparseMat:
+def _conjugation_op(r: TensorOp, rinv: TensorOp) -> SparseMat:
     """Operator V -> R^T V (R^T)^(-1) on row-major flattened coefficients."""
-    return _sparse_t(rm).kron(SparseMat.from_dense(rinv))
+    return r.mat.transpose().kron(rinv.mat)
 
 
 def _identity_op(n: int, table) -> SparseMat:
@@ -84,13 +82,13 @@ class HattedBasis:
             return out
 
         l1 = l_at_first()
-        r12 = scalar_matrix_to_nc(embed_at(hs.R, 1, arity).mat, N)
-        r12i = scalar_matrix_to_nc(embed_at(hs.r_inv, 1, arity).mat, N)
+        r12 = scalar_matrix_to_nc(embed_at(hs.R, 1, arity))
+        r12i = scalar_matrix_to_nc(embed_at(hs.r_inv, 1, arity))
         l2bar = nc_matmul(nc_matmul(r12, l1), r12i)
         mat = nc_matmul(l1, l2bar)
         if arity == 3:
-            r23 = scalar_matrix_to_nc(embed_at(hs.R, 2, arity).mat, N)
-            r23i = scalar_matrix_to_nc(embed_at(hs.r_inv, 2, arity).mat, N)
+            r23 = scalar_matrix_to_nc(embed_at(hs.R, 2, arity))
+            r23i = scalar_matrix_to_nc(embed_at(hs.r_inv, 2, arity))
             l3bar = nc_matmul(nc_matmul(r23, l2bar), r23i)
             mat = nc_matmul(mat, l3bar)
         basis = HattedBasis(hs=hs, arity=arity, elements=mat)
@@ -128,35 +126,22 @@ class HattedBasis:
         return total
 
 
-def vec_from_structure(x: MatrixS, hs: HeckeSymmetry, arity: int) -> dict:
+def vec_from_structure(x: TensorOp, hs: HeckeSymmetry) -> dict:
     """Hatted coefficients of Tr_R(1..k)(L1 L2bar ... . X) for numeric X.
 
     The coefficient of the (a, b) hatted element is (X C^(x k))[b][a].
     """
-    ckron = hs.c_op
-    for _ in range(arity - 1):
-        ckron = ckron.kron(hs.c_op)
-    xc = x * ckron
-    dim = x.nrows
-    out = {}
-    for b in range(dim):
-        row = xc.data[b]
-        for a in range(dim):
-            v = row[a]
-            if v:
-                out[a * dim + b] = v
-    return out
+    xc = x.mat * c_power(hs, x.arity)
+    dim = xc.nrows
+    return {a * dim + b: v for b, row in xc.rows.items() for a, v in row.items()}
 
 
 def trace_vector(k: int, hs: HeckeSymmetry) -> dict:
     """Hatted coefficients of Tr_R L^k for k = 2, 3."""
     if k == 2:
-        trailing = hs.R.mat
-        return vec_from_structure(trailing, hs, 2)
+        return vec_from_structure(hs.R, hs)
     if k == 3:
-        r1 = embed_at(hs.R, 1, 3).mat
-        r2 = embed_at(hs.R, 2, 3).mat
-        return vec_from_structure(r2 * r1, hs, 3)
+        return vec_from_structure(embed_at(hs.R, 2, 3) * embed_at(hs.R, 1, 3), hs)
     raise ValueError("trace vectors are provided for k = 2, 3")
 
 
@@ -204,18 +189,19 @@ def build_projectors(hs: HeckeSymmetry) -> ProjectorSet:
     N = hs.N
     dim2 = (N ** 2) ** 2
     dim3 = (N ** 3) ** 2
-    qop = _conjugation_op(hs.R.mat, hs.r_inv.mat)
-    qinv = _conjugation_op(hs.r_inv.mat, hs.R.mat)
+    r_inv = hs.r_inv
+    qop = _conjugation_op(hs.R, r_inv)
+    qinv = _conjugation_op(r_inv, hs.R)
     p2_plus, p2_minus = _p2_from_q(qop, qinv, q, dim2)
 
     r1 = embed_at(hs.R, 1, 3)
     r2 = embed_at(hs.R, 2, 3)
-    r1i = embed_at(hs.r_inv, 1, 3)
-    r2i = embed_at(hs.r_inv, 2, 3)
-    q1 = _conjugation_op(r1.mat, r1i.mat)
-    q1i = _conjugation_op(r1i.mat, r1.mat)
-    q2 = _conjugation_op(r2.mat, r2i.mat)
-    q2i = _conjugation_op(r2i.mat, r2.mat)
+    r1i = embed_at(r_inv, 1, 3)
+    r2i = embed_at(r_inv, 2, 3)
+    q1 = _conjugation_op(r1, r1i)
+    q1i = _conjugation_op(r1i, r1)
+    q2 = _conjugation_op(r2, r2i)
+    q2i = _conjugation_op(r2i, r2)
     p1, _ = _p2_from_q(q1, q1i, q, dim3)
     p2, _ = _p2_from_q(q2, q2i, q, dim3)
 
@@ -249,14 +235,14 @@ def build_projectors(hs: HeckeSymmetry) -> ProjectorSet:
             raise ProjectorAxiomFailed(f"P+(3) {name} != P+(3) (absorption)")
 
     xi = q - q.inv()
-    ia = r1.mat * r2.mat * r1.mat + r1.mat + r2.mat
-    ib = r1.mat * r2.mat + r2.mat * r1.mat - (r1.mat + r2.mat).scale(xi)
+    ia = r1 * r2 * r1 + r1 + r2
+    ib = r1 * r2 + r2 * r1 - (r1 + r2).scale(xi)
     return ProjectorSet(
         hs=hs, q_op=qop, q_inv=qinv, p2_plus=p2_plus, p2_minus=p2_minus,
         p2_plus_pos1=p1, p2_plus_pos2=p2, p3_plus=p3,
         a_const=a_const, b_const=b_const,
-        ia_vec=vec_from_structure(ia, hs, 3),
-        ib_vec=vec_from_structure(ib, hs, 3),
+        ia_vec=vec_from_structure(ia, hs),
+        ib_vec=vec_from_structure(ib, hs),
         basis2=HattedBasis.build(hs, 2),
         basis3=HattedBasis.build(hs, 3),
     )
@@ -346,11 +332,11 @@ def p2_action_identity(hs: HeckeSymmetry,
     table = hs.table
     xi = q - q.inv()
     two_q2_inv = (qnumber(2, q) ** 2).inv()
-    r1 = embed_at(hs.R, 1, 3).mat
-    r2 = embed_at(hs.R, 2, 3).mat
+    r1 = embed_at(hs.R, 1, 3)
+    r2 = embed_at(hs.R, 2, 3)
 
-    def vec(x: MatrixS) -> dict:
-        return vec_from_structure(x, hs, 3)
+    def vec(x: TensorOp) -> dict:
+        return vec_from_structure(x, hs)
 
     rows = []
 

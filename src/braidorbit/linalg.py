@@ -1,16 +1,20 @@
 """Exact dense and sparse linear algebra over the scalar fraction field.
 
-Dense matrices (``MatrixS``) are used for operators on small tensor powers;
-``TensorOp`` adds the multi-index bookkeeping for operators on V^(tensor k).
-Large rank/membership problems (relation ideals, Poincare series) run on the
-sparse ``RowSpace``, an incrementally maintained reduced row echelon form.
-The echelon basis of a span is unique, so residuals of reduction are
-canonical and independent of the order in which spanning vectors arrive.
+Operators on tensor powers V^(tensor k) are sparse: ``TensorOp`` is a
+``SparseMat`` (dict of row dicts holding only nonzero entries) plus the
+multi-index bookkeeping, and ``embed_at``, ``partial_trace`` and the products
+visit stored entries only.  The dense ``MatrixS`` is kept for the small dense
+work: N x N matrices such as the skew-inverse traces and Hankel matrices,
+with the fraction-free (Bareiss) determinant and the field inverse.
+Rank and membership problems (relation ideals, Poincare series, the
+skew-inverse system) run on ``RowSpace``, an incrementally maintained
+reduced row echelon form.  The echelon basis of a span is unique, so
+residuals of reduction are canonical and independent of the order in which
+spanning vectors arrive.
 
 Pivoting is deterministic everywhere: columns are scanned left to right and
-the first nonzero candidate wins.  ``bareiss`` does fraction-free elimination
-over cleared (polynomial) entries for determinants, and ordinary exact field
-elimination for the other tasks.
+the first nonzero candidate wins.  Allocations are estimated before they are
+made and refused with ``ResourceLimit`` above the entry cap.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
-    DivisionByZero,
     IndexOutOfRange,
     ResourceLimit,
     SingularMatrix,
@@ -41,7 +44,7 @@ def _check_alloc(entries: int) -> None:
 
 
 class MatrixS:
-    """Dense matrix of Scalars (row-major)."""
+    """Dense matrix of Scalars (row-major), for small dense work."""
 
     __slots__ = ("nrows", "ncols", "table", "data")
 
@@ -68,29 +71,9 @@ class MatrixS:
             m.data[i][i] = one
         return m
 
-    def copy(self) -> "MatrixS":
-        return MatrixS(self.table, self.data)
-
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
         return self.data[i][j]
-
-    def set(self, i: int, j: int, value: Scalar) -> None:
-        self.data[i][j] = value
-
-    def __add__(self, other: "MatrixS") -> "MatrixS":
-        self._same_shape(other)
-        return MatrixS(self.table, [[a + b for a, b in zip(ra, rb)]
-                                    for ra, rb in zip(self.data, other.data)])
-
-    def __sub__(self, other: "MatrixS") -> "MatrixS":
-        self._same_shape(other)
-        return MatrixS(self.table, [[a - b for a, b in zip(ra, rb)]
-                                    for ra, rb in zip(self.data, other.data)])
-
-    def _same_shape(self, other: "MatrixS") -> None:
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shape mismatch")
 
     def __mul__(self, other: "MatrixS") -> "MatrixS":
         if self.ncols != other.nrows:
@@ -110,12 +93,6 @@ class MatrixS:
                         orow[j] = orow[j] + a * b
         return MatrixS(self.table, out)
 
-    def scale(self, c: Scalar) -> "MatrixS":
-        return MatrixS(self.table, [[c * a for a in row] for row in self.data])
-
-    def transpose(self) -> "MatrixS":
-        return MatrixS(self.table, [list(col) for col in zip(*self.data)])
-
     def trace(self) -> Scalar:
         if self.nrows != self.ncols:
             raise DimensionMismatch("trace of non-square matrix")
@@ -123,9 +100,6 @@ class MatrixS:
         for i in range(self.nrows):
             t = t + self.data[i][i]
         return t
-
-    def is_zero(self) -> bool:
-        return all(not a for row in self.data for a in row)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MatrixS) and self.nrows == other.nrows
@@ -135,68 +109,174 @@ class MatrixS:
         rows = "; ".join(" ".join(str(a) for a in row) for row in self.data)
         return f"MatrixS[{rows}]"
 
-    def kron(self, other: "MatrixS") -> "MatrixS":
-        _check_alloc(self.nrows * other.nrows * self.ncols * other.ncols)
-        zero = Scalar.zero(self.table)
-        out = [[zero] * (self.ncols * other.ncols)
-               for _ in range(self.nrows * other.nrows)]
-        for i, arow in enumerate(self.data):
-            for j, a in enumerate(arow):
-                if not a:
+
+# ---------------------------------------------------------------------------
+# sparse matrices and tensor operators
+# ---------------------------------------------------------------------------
+
+
+class SparseMat:
+    """Sparse matrix as dict-of-row-dicts; entries are Scalars or Fractions.
+
+    Stored rows are nonempty and hold no zero entries; every operation keeps
+    that invariant, so the constructor takes its rows as they are.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows")
+
+    def __init__(self, nrows: int, ncols: int, rows: Optional[dict] = None):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = rows if rows is not None else {}
+
+    @staticmethod
+    def identity(n: int, one) -> "SparseMat":
+        return SparseMat(n, n, {i: {i: one} for i in range(n)})
+
+    @staticmethod
+    def from_dense(m: MatrixS) -> "SparseMat":
+        rows = {}
+        for i, row in enumerate(m.data):
+            r = {j: v for j, v in enumerate(row) if v}
+            if r:
+                rows[i] = r
+        return SparseMat(m.nrows, m.ncols, rows)
+
+    def to_dense(self, table: SymbolTable) -> MatrixS:
+        m = MatrixS.zeros(table, self.nrows, self.ncols)
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                m.data[i][j] = v
+        return m
+
+    def nnz(self) -> int:
+        return sum(len(r) for r in self.rows.values())
+
+    def __mul__(self, other: "SparseMat") -> "SparseMat":
+        if self.ncols != other.nrows:
+            raise DimensionMismatch("sparse matmul shape mismatch")
+        out: dict = {}
+        for i, row in self.rows.items():
+            acc: dict = {}
+            for k, a in row.items():
+                brow = other.rows.get(k)
+                if not brow:
                     continue
-                for k, brow in enumerate(other.data):
-                    for l, b in enumerate(brow):
-                        if b:
-                            out[i * other.nrows + k][j * other.ncols + l] = a * b
-        return MatrixS(self.table, out)
+                for j, b in brow.items():
+                    prev = acc.get(j)
+                    val = a * b if prev is None else prev + a * b
+                    if val:
+                        acc[j] = val
+                    elif prev is not None:
+                        del acc[j]
+            if acc:
+                out[i] = acc
+        return SparseMat(self.nrows, other.ncols, out)
 
+    def __add__(self, other: "SparseMat") -> "SparseMat":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionMismatch("shape mismatch")
+        out = {i: dict(r) for i, r in self.rows.items()}
+        for i, row in other.rows.items():
+            tgt = out.setdefault(i, {})
+            for j, v in row.items():
+                s = tgt.get(j)
+                val = v if s is None else s + v
+                if val:
+                    tgt[j] = val
+                elif s is not None:
+                    del tgt[j]
+            if not tgt:
+                del out[i]
+        return SparseMat(self.nrows, self.ncols, out)
 
-def kron(a: MatrixS, b: MatrixS) -> MatrixS:
-    return a.kron(b)
+    def __sub__(self, other: "SparseMat") -> "SparseMat":
+        return self + other.scale(-1)
 
+    def scale(self, c) -> "SparseMat":
+        if not c:
+            return SparseMat(self.nrows, self.ncols, {})
+        return SparseMat(self.nrows, self.ncols,
+                         {i: {j: v * c for j, v in r.items()} for i, r in self.rows.items()})
 
-# ---------------------------------------------------------------------------
-# tensor operators
-# ---------------------------------------------------------------------------
+    def transpose(self) -> "SparseMat":
+        out: dict = {}
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                out.setdefault(j, {})[i] = v
+        return SparseMat(self.ncols, self.nrows, out)
+
+    def kron(self, other: "SparseMat") -> "SparseMat":
+        _check_alloc(self.nnz() * other.nnz())
+        out: dict = {}
+        for i, arow in self.rows.items():
+            for k, brow in other.rows.items():
+                out[i * other.nrows + k] = {j * other.ncols + l: a * b
+                                            for j, a in arow.items()
+                                            for l, b in brow.items()}
+        return SparseMat(self.nrows * other.nrows, self.ncols * other.ncols, out)
+
+    def apply(self, vec: dict) -> dict:
+        """Matrix-vector product on a sparse column vector {index: value}."""
+        out: dict = {}
+        for i, row in self.rows.items():
+            acc = None
+            for j, a in row.items():
+                v = vec.get(j)
+                if v is not None and v:
+                    term = a * v
+                    acc = term if acc is None else acc + term
+            if acc is not None and acc:
+                out[i] = acc
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.rows
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SparseMat) and self.nrows == other.nrows
+                and self.ncols == other.ncols and self.rows == other.rows)
 
 
 class TensorOp:
-    """Operator on V^(tensor k), dim V = N, stored as an N^k x N^k matrix.
+    """Operator on V^(tensor k), dim V = N: a sparse N^k x N^k Scalar matrix.
 
     Row/column multi-indices (i1..ik) are encoded big-endian:
     code = i1*N^(k-1) + ... + ik, each i in [0, N).
     """
 
-    __slots__ = ("N", "arity", "mat")
+    __slots__ = ("N", "arity", "mat", "table")
 
-    def __init__(self, N: int, arity: int, mat: MatrixS):
+    def __init__(self, N: int, arity: int, mat: SparseMat, table: SymbolTable):
         if mat.nrows != N ** arity or mat.ncols != N ** arity:
             raise DimensionMismatch(f"matrix size {mat.nrows} != {N}^{arity}")
         self.N = N
         self.arity = arity
         self.mat = mat
+        self.table = table
 
     @staticmethod
     def identity(table: SymbolTable, N: int, arity: int) -> "TensorOp":
-        return TensorOp(N, arity, MatrixS.identity(table, N ** arity))
+        return TensorOp(N, arity, SparseMat.identity(N ** arity, Scalar.one(table)), table)
 
-    @property
-    def table(self) -> SymbolTable:
-        return self.mat.table
-
-    def __mul__(self, other: "TensorOp") -> "TensorOp":
+    def _same(self, other: "TensorOp") -> None:
         if self.N != other.N or self.arity != other.arity:
             raise DimensionMismatch("tensor arity mismatch")
-        return TensorOp(self.N, self.arity, self.mat * other.mat)
+
+    def __mul__(self, other: "TensorOp") -> "TensorOp":
+        self._same(other)
+        return TensorOp(self.N, self.arity, self.mat * other.mat, self.table)
 
     def __add__(self, other: "TensorOp") -> "TensorOp":
-        return TensorOp(self.N, self.arity, self.mat + other.mat)
+        self._same(other)
+        return TensorOp(self.N, self.arity, self.mat + other.mat, self.table)
 
     def __sub__(self, other: "TensorOp") -> "TensorOp":
-        return TensorOp(self.N, self.arity, self.mat - other.mat)
+        self._same(other)
+        return TensorOp(self.N, self.arity, self.mat - other.mat, self.table)
 
     def scale(self, c: Scalar) -> "TensorOp":
-        return TensorOp(self.N, self.arity, self.mat.scale(c))
+        return TensorOp(self.N, self.arity, self.mat.scale(c), self.table)
 
     def is_zero(self) -> bool:
         return self.mat.is_zero()
@@ -219,21 +299,16 @@ def embed_at(op: TensorOp, position: int, arity: int) -> TensorOp:
     left = N ** (position - 1)
     mid = N ** k
     right = N ** (arity - position - k + 1)
-    _check_alloc((left * mid * right) ** 2)
-    table = op.table
-    out = MatrixS.zeros(table, left * mid * right, left * mid * right)
-    mdata = op.mat.data
+    _check_alloc(op.mat.nnz() * left * right)
+    rows: dict = {}
     for a in range(left):
-        for c in range(right):
-            for rm in range(mid):
-                row = (a * mid + rm) * right + c
-                src = mdata[rm]
-                for cm in range(mid):
-                    v = src[cm]
-                    if v:
-                        col = (a * mid + cm) * right + c
-                        out.data[row][col] = v
-    return TensorOp(N, arity, out)
+        for rm, src in op.mat.rows.items():
+            base = (a * mid + rm) * right
+            cols = [((a * mid + cm) * right, v) for cm, v in src.items()]
+            for c in range(right):
+                rows[base + c] = {col + c: v for col, v in cols}
+    size = left * mid * right
+    return TensorOp(N, arity, SparseMat(size, size, rows), op.table)
 
 
 def partial_trace(op: TensorOp, space: int) -> TensorOp:
@@ -242,37 +317,33 @@ def partial_trace(op: TensorOp, space: int) -> TensorOp:
     if space < 1 or space > k:
         raise IndexOutOfRange(f"space {space} of {k}")
     N = op.N
-    left = N ** (space - 1)
     right = N ** (k - space)
-    table = op.table
-    out = MatrixS.zeros(table, left * right, left * right)
-    mdata = op.mat.data
-    for ra in range(left):
-        for rc in range(right):
-            row_out = ra * right + rc
-            orow = out.data[row_out]
-            for ca in range(left):
-                for cc in range(right):
-                    col_out = ca * right + cc
-                    acc = orow[col_out]
-                    for t in range(N):
-                        r = (ra * N + t) * right + rc
-                        c = (ca * N + t) * right + cc
-                        v = mdata[r][c]
-                        if v:
-                            acc = acc + v
-                    orow[col_out] = acc
-    return TensorOp(N, k - 1, out)
+    out: dict = {}
+    for r, row in op.mat.rows.items():
+        ra, rt = divmod(r, N * right)
+        t, rc = divmod(rt, right)
+        acc = out.setdefault(ra * right + rc, {})
+        for c, v in row.items():
+            ca, ct = divmod(c, N * right)
+            if ct // right != t:
+                continue
+            j = ca * right + ct % right
+            s = acc.get(j)
+            val = v if s is None else s + v
+            if val:
+                acc[j] = val
+            elif s is not None:
+                del acc[j]
+    size = N ** (k - 1)
+    return TensorOp(N, k - 1, SparseMat(size, size, {i: r for i, r in out.items() if r}),
+                    op.table)
 
 
 def flip_op(table: SymbolTable, N: int) -> TensorOp:
     """The plain flip sigma(e_i (x) e_j) = e_j (x) e_i."""
-    m = MatrixS.zeros(table, N * N, N * N)
     one = Scalar.one(table)
-    for i in range(N):
-        for j in range(N):
-            m.data[j * N + i][i * N + j] = one
-    return TensorOp(N, 2, m)
+    rows = {j * N + i: {i * N + j: one} for i in range(N) for j in range(N)}
+    return TensorOp(N, 2, SparseMat(N * N, N * N, rows), table)
 
 
 # ---------------------------------------------------------------------------
@@ -377,27 +448,6 @@ def rowreduce(m: MatrixS) -> tuple[MatrixS, list, int, list]:
     return MatrixS(table, data), pivots, sign, pivot_values
 
 
-def rank(m: MatrixS) -> int:
-    return len(rowreduce(m)[1])
-
-
-def nullspace(m: MatrixS) -> list:
-    """Basis of the right kernel, as lists of Scalars."""
-    rref, pivots, _, _ = rowreduce(m)
-    table = m.table
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    zero = Scalar.zero(table)
-    one = Scalar.one(table)
-    for fc in free:
-        vec = [zero] * m.ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref.data[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def inverse(m: MatrixS) -> MatrixS:
     if m.nrows != m.ncols:
         raise DimensionMismatch("inverse of non-square matrix")
@@ -411,184 +461,18 @@ def inverse(m: MatrixS) -> MatrixS:
     return MatrixS(table, [row[n:] for row in rref.data])
 
 
-def solve(m: MatrixS, rhs: list) -> Optional[list]:
-    """One solution of m x = rhs, or None when inconsistent (free vars -> 0)."""
-    table = m.table
-    aug = MatrixS(table, [list(row) + [b] for row, b in zip(m.data, rhs)])
-    rref, pivots, _, _ = rowreduce(aug)
-    if m.ncols in pivots:
-        return None
-    zero = Scalar.zero(table)
-    x = [zero] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref.data[r][m.ncols]
-    return x
-
-
-def bareiss(m: MatrixS, task: str, rhs: Optional[list] = None):
-    """Dispatch exact elimination tasks: det | inverse | rank | nullspace | rowreduce."""
-    if task == "det":
-        return det_bareiss(m)
-    if task == "inverse":
-        return inverse(m)
-    if task == "rank":
-        return rank(m)
-    if task == "nullspace":
-        return nullspace(m)
-    if task == "rowreduce":
-        return rowreduce(m)[0]
-    if task == "solve":
-        return solve(m, rhs)
-    raise ValueError(f"unknown task {task!r}")
-
-
-# ---------------------------------------------------------------------------
-# sparse structures
-# ---------------------------------------------------------------------------
-
-
-class SparseMat:
-    """Sparse matrix as dict-of-row-dicts; entries are Scalars or Fractions."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows: int, ncols: int, rows: Optional[dict] = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = {}
-        if rows:
-            for i, row in rows.items():
-                clean = {j: v for j, v in row.items() if v}
-                if clean:
-                    self.rows[i] = clean
-
-    @staticmethod
-    def identity(n: int, one) -> "SparseMat":
-        return SparseMat(n, n, {i: {i: one} for i in range(n)})
-
-    @staticmethod
-    def from_dense(m: MatrixS) -> "SparseMat":
-        rows = {}
-        for i, row in enumerate(m.data):
-            r = {j: v for j, v in enumerate(row) if v}
-            if r:
-                rows[i] = r
-        return SparseMat(m.nrows, m.ncols, rows)
-
-    def to_dense(self, table: SymbolTable) -> MatrixS:
-        m = MatrixS.zeros(table, self.nrows, self.ncols)
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                m.data[i][j] = v
-        return m
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows.values())
-
-    def __mul__(self, other: "SparseMat") -> "SparseMat":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("sparse matmul shape mismatch")
-        out: dict = {}
-        for i, row in self.rows.items():
-            acc: dict = {}
-            for k, a in row.items():
-                brow = other.rows.get(k)
-                if not brow:
-                    continue
-                for j, b in brow.items():
-                    prev = acc.get(j)
-                    val = a * b if prev is None else prev + a * b
-                    if val:
-                        acc[j] = val
-                    elif prev is not None:
-                        del acc[j]
-            if acc:
-                out[i] = acc
-        return SparseMat(self.nrows, other.ncols, out)
-
-    def __add__(self, other: "SparseMat") -> "SparseMat":
-        out = {i: dict(r) for i, r in self.rows.items()}
-        for i, row in other.rows.items():
-            tgt = out.setdefault(i, {})
-            for j, v in row.items():
-                s = tgt.get(j)
-                val = v if s is None else s + v
-                if val:
-                    tgt[j] = val
-                elif s is not None:
-                    del tgt[j]
-            if not tgt:
-                del out[i]
-        return SparseMat(self.nrows, self.ncols, out)
-
-    def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SparseMat":
-        if not c:
-            return SparseMat(self.nrows, self.ncols, {})
-        return SparseMat(self.nrows, self.ncols,
-                         {i: {j: v * c for j, v in r.items()} for i, r in self.rows.items()})
-
-    def transpose(self) -> "SparseMat":
-        out: dict = {}
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                out.setdefault(j, {})[i] = v
-        return SparseMat(self.ncols, self.nrows, out)
-
-    def kron(self, other: "SparseMat") -> "SparseMat":
-        out: dict = {}
-        for i, arow in self.rows.items():
-            for k, brow in other.rows.items():
-                orow = {}
-                for j, a in arow.items():
-                    for l, b in brow.items():
-                        v = a * b
-                        if v:
-                            orow[j * other.ncols + l] = v
-                if orow:
-                    out[i * other.nrows + k] = orow
-        return SparseMat(self.nrows * other.nrows, self.ncols * other.ncols, out)
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix-vector product on a sparse column vector {index: value}."""
-        out: dict = {}
-        for i, row in self.rows.items():
-            acc = None
-            for j, a in row.items():
-                v = vec.get(j)
-                if v is not None and v:
-                    term = a * v
-                    acc = term if acc is None else acc + term
-            if acc is not None and acc:
-                out[i] = acc
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SparseMat) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
-
-
 class RowSpace:
     """Incrementally maintained reduced row echelon basis of a row span.
 
     Stored rows have pivot value 1 and are mutually fully reduced, so the
     basis is the unique RREF basis of the span: reductions and residuals do
-    not depend on insertion order.  Optionally tracks, for every basis row,
-    its expression in the originally inserted vectors (certificates).
+    not depend on insertion order.
     """
 
-    __slots__ = ("pivots", "certs", "track", "ninserted", "_col_usage")
+    __slots__ = ("pivots", "_col_usage")
 
-    def __init__(self, track_certificates: bool = False):
+    def __init__(self):
         self.pivots: dict = {}
-        self.certs: dict = {}
-        self.track = track_certificates
-        self.ninserted = 0
         self._col_usage: dict = {}
 
     @property
@@ -597,15 +481,9 @@ class RowSpace:
 
     def reduce(self, row: dict) -> dict:
         residual = {j: v for j, v in row.items() if v}
-        return self._reduce_inplace(residual, None)
+        return self._reduce_inplace(residual)
 
-    def reduce_with_certificate(self, row: dict) -> tuple[dict, dict]:
-        residual = {j: v for j, v in row.items() if v}
-        cert: dict = {}
-        self._reduce_inplace(residual, cert)
-        return residual, cert
-
-    def _reduce_inplace(self, row: dict, cert: Optional[dict]) -> dict:
+    def _reduce_inplace(self, row: dict) -> dict:
         while True:
             hits = row.keys() & self.pivots.keys()
             if not hits:
@@ -622,40 +500,17 @@ class RowSpace:
                     row[j] = val
                 elif s is not None:
                     del row[j]
-            if cert is not None:
-                for k, v in self.certs[c].items():
-                    s = cert.get(k)
-                    val = coef * v if s is None else s + coef * v
-                    if val:
-                        cert[k] = val
-                    elif s is not None:
-                        del cert[k]
-        # unreachable
 
     def add(self, row: dict) -> bool:
         """Insert a vector; True when it enlarged the span."""
-        index = self.ninserted
-        self.ninserted += 1
-        residual = {j: v for j, v in row.items() if v}
-        cert: Optional[dict] = {} if self.track else None
-        self._reduce_inplace(residual, cert)
+        residual = self._reduce_inplace({j: v for j, v in row.items() if v})
         if not residual:
             return False
         c = min(residual)
-        inv_piv = None
         piv = residual[c]
         if piv != 1:
-            if isinstance(piv, Fraction):
-                inv_piv = 1 / piv
-            else:
-                inv_piv = piv.inv()
+            inv_piv = 1 / piv if isinstance(piv, Fraction) else piv.inv()
             residual = {j: inv_piv * v for j, v in residual.items()}
-        if self.track:
-            newcert = {k: -v for k, v in cert.items()}
-            newcert[index] = 1
-            if piv != 1:
-                newcert = {k: inv_piv * v for k, v in newcert.items()}
-            self.certs[c] = newcert
         # full back-substitution keeps the basis in RREF
         for pc in list(self._col_usage.get(c, ())):
             prow = self.pivots.get(pc)
@@ -675,38 +530,8 @@ class RowSpace:
                 elif s is not None:
                     del prow[j]
                     self._col_usage.get(j, set()).discard(pc)
-            if self.track:
-                pcert = self.certs[pc]
-                rcert = self.certs[c]
-                for k, v in rcert.items():
-                    s = pcert.get(k)
-                    val = -f * v if s is None else s - f * v
-                    if val:
-                        pcert[k] = val
-                    elif s is not None:
-                        del pcert[k]
         self.pivots[c] = residual
         for j in residual:
             if j != c:
                 self._col_usage.setdefault(j, set()).add(c)
         return True
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
-
-
-def subspace_membership(v: Sequence[Scalar], span: Sequence[Sequence[Scalar]]):
-    """Decide v in span(vectors); (True, coords) or (False, canonical residual).
-
-    Coordinates are reported in the order the spanning vectors were given and
-    reconstruct v exactly.
-    """
-    if any(len(w) != len(v) for w in span):
-        raise DimensionMismatch("vector lengths differ")
-    space = RowSpace(track_certificates=True)
-    for w in span:
-        space.add({j: x for j, x in enumerate(w) if x})
-    residual, cert = space.reduce_with_certificate({j: x for j, x in enumerate(v) if x})
-    if residual:
-        return False, residual
-    return True, cert

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .errors import ChFailed, ResourceLimit, ShiftUnavailable
 from .graded import GradedQuotient, accumulate
 from .hecke import HeckeSymmetry, birank, build_superflip
-from .linalg import MatrixS, RowSpace
+from .linalg import RowSpace, TensorOp
 from .scalar import Scalar, SymbolTable
 from .symfun import NewtonConverter, ch_coefficients
 
@@ -195,8 +195,15 @@ def nc_matmul(A: Sequence, B: Sequence) -> list:
     return out
 
 
-def scalar_matrix_to_nc(M: MatrixS, N: int) -> list:
-    return [[NCPoly.const(N, M.table, v) for v in row] for row in M.data]
+def scalar_matrix_to_nc(op: TensorOp) -> list:
+    """Dense matrix of constant NCPolys with the entries of a tensor operator."""
+    N, size = op.N, op.mat.nrows
+    zero = NCPoly.zero(N, op.table)
+    out = [[zero] * size for _ in range(size)]
+    for i, row in op.mat.rows.items():
+        for j, v in row.items():
+            out[i][j] = NCPoly.const(N, op.table, v)
+    return out
 
 
 def _l1_matrix(hs: HeckeSymmetry) -> list:
@@ -221,7 +228,7 @@ def reflection_matrix(hs: HeckeSymmetry, which: str = "minus",
     mrea:  minus - h (R L1 - L1 R)         (linear right-hand side)
     """
     N = hs.N
-    Rnc = scalar_matrix_to_nc(hs.R.mat, N)
+    Rnc = scalar_matrix_to_nc(hs.R)
     L1 = _l1_matrix(hs)
     rl = nc_matmul(Rnc, L1)
     rlrl = nc_matmul(nc_matmul(rl, Rnc), L1)
@@ -237,7 +244,7 @@ def reflection_matrix(hs: HeckeSymmetry, which: str = "minus",
                    for i in range(N * N)]
         return ent
     if which == "plus":
-        rinv = scalar_matrix_to_nc(hs.r_inv.mat, N)
+        rinv = scalar_matrix_to_nc(hs.r_inv)
         lrlri = nc_matmul(nc_matmul(lr, L1), rinv)
         return [[rlrl[i][j] + lrlri[i][j] for j in range(N * N)] for i in range(N * N)]
     raise ValueError(f"unknown relation kind {which!r}")

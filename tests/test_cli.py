@@ -1,4 +1,5 @@
 import json
+import time
 
 from braidorbit.cli import main
 
@@ -102,6 +103,16 @@ def test_huge_exponent_exits_3(capsys):
     code = main(["check-r", "--builtin", "dj_gl", "--N", "2", "--q", "2^100000000"])
     assert code == 3
     assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_oversized_symmetry_exits_3(capsys):
+    # the skew-inverse system of dj_gl(40) could store 40^4 rows of 40^2 + 1
+    # entries; the build is refused before any operator is formed
+    start = time.monotonic()
+    code = main(["check-r", "--builtin", "dj_gl", "--N", "40", "--q", "7/5"])
+    assert code == 3
+    assert "exceeds cap" in capsys.readouterr().err
+    assert time.monotonic() - start < 2
 
 
 def test_koszul_all_checks(capsys):

@@ -19,7 +19,7 @@ from braidorbit.hecke import (
     build_q_super,
     build_superflip,
 )
-from braidorbit.linalg import MatrixS, RowSpace
+from braidorbit.linalg import RowSpace, TensorOp
 from braidorbit.rea import NCPoly, is_zero_mod, relation_space
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable
 
@@ -95,9 +95,10 @@ def test_birank_series_match_word_space_reference(name):
     N = hs.N
     depth = 5
     rep = birank(hs, depth)
-    ident = MatrixS.identity(hs.table, N * N)
-    for series, proj in ((rep.minus_series, ident.scale(hs.q.inv()) + hs.R.mat),
-                         (rep.plus_series, ident.scale(hs.q) - hs.R.mat)):
+    ident = TensorOp.identity(hs.table, N, 2)
+    for series, op in ((rep.minus_series, ident.scale(hs.q.inv()) + hs.R),
+                       (rep.plus_series, ident.scale(hs.q) - hs.R)):
+        proj = op.mat.to_dense(hs.table)
         relations = [{divmod(r, N): row[c] for r, row in enumerate(proj.data) if row[c]}
                      for c in range(proj.ncols)]
         expected = [1, N] + [N ** k - reference_slice(N, relations, k).rank

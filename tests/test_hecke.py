@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -25,7 +26,7 @@ from braidorbit.hecke import (
     validation_report,
     yang_baxter_residual,
 )
-from braidorbit.linalg import MatrixS, TensorOp, embed_at, flip_op
+from braidorbit.linalg import MatrixS, SparseMat, TensorOp, embed_at, flip_op
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable
 
 QT = SymbolTable(["q"])
@@ -52,7 +53,7 @@ def _brute_force_psi(hs):
     """Independent oracle: solve the defining skew-inverse system by dense
     Fraction elimination over all N^4 unknowns."""
     N = hs.N
-    R = [[v.as_fraction() for v in row] for row in hs.R.mat.data]
+    R = [[v.as_fraction() for v in row] for row in hs.R.mat.to_dense(hs.table).data]
     size = N ** 4
 
     def unk(m, o3, t, i3):
@@ -112,7 +113,7 @@ def _brute_force_psi(hs):
 def test_superflip_psi_against_bruteforce_and_c():
     hs = build_superflip(1, 1)
     oracle = _brute_force_psi(hs)
-    got = [[v.as_fraction() for v in row] for row in hs.psi.mat.data]
+    got = [[v.as_fraction() for v in row] for row in hs.psi.mat.to_dense(hs.table).data]
     assert got == oracle
     # C = diag(1, -1): quantum trace of the identity is the superdimension
     assert hs.c_op.data[0][0].as_fraction() == 1
@@ -161,7 +162,7 @@ def test_multitrace_values_and_cyclicity():
     rng = random.Random(42)
     m = MatrixS(EMPTY_TABLE, [[Scalar.from_fraction(EMPTY_TABLE, rng.randint(-3, 3))
                                for _ in range(8)] for _ in range(8)])
-    op = TensorOp(2, 3, m)
+    op = TensorOp(2, 3, SparseMat.from_dense(m), EMPTY_TABLE)
     for i in (1, 2):
         ri = embed_at(hs.R, i, 3)
         ri_inv = embed_at(hs.r_inv, i, 3)
@@ -211,10 +212,10 @@ def test_birank_deformation_guard_behaviour():
 
 def test_validation_rejects_wrong_matrices():
     t = EMPTY_TABLE
-    bad = MatrixS.identity(t, 4)
-    bad.data[0][1] = Scalar.one(t)
+    bad = SparseMat.identity(4, Scalar.one(t))
+    bad.rows[0][1] = Scalar.one(t)
     with pytest.raises(NotYangBaxter):
-        validate("bad", 2, t, Scalar.one(t), TensorOp(2, 2, bad))
+        validate("bad", 2, t, Scalar.one(t), TensorOp(2, 2, bad, t))
     # flip passes YBE but fails Hecke for q != 1
     with pytest.raises(NotHecke):
         validate("bad-hecke", 2, t, Scalar.from_fraction(t, 2), flip_op(t, 2))
@@ -223,9 +224,10 @@ def test_validation_rejects_wrong_matrices():
 def test_from_file_roundtrip(tmp_path):
     hs = build_dj_gl(2, q_sym())
     entries = []
+    dense = hs.R.mat.to_dense(hs.table)
     for out in range(4):
         for inp in range(4):
-            v = hs.R.mat.data[out][inp]
+            v = dense.data[out][inp]
             if v:
                 entries.append({
                     "out_pair": [out // 2 + 1, out % 2 + 1],
@@ -265,3 +267,33 @@ def test_birank_inconclusive_depth():
     from braidorbit.errors import InconclusiveDepth
 
     assert isinstance(err.value, InconclusiveDepth)
+
+
+def _with_entry(op, row, col, value):
+    """Copy of a tensor operator with one stored entry replaced."""
+    rows = {i: dict(r) for i, r in op.mat.rows.items()}
+    rows.setdefault(row, {})[col] = value
+    return TensorOp(op.N, op.arity, SparseMat(op.mat.nrows, op.mat.ncols, rows), op.table)
+
+
+def test_validation_report_flips_on_mutated_r():
+    hs = build_dj_gl(3, q_num("7/5"))
+    assert validation_report(hs) == {"yang_baxter": True, "hecke": True, "skew_inverse": True}
+    # one off-diagonal entry of R changed: R(e_0 (x) e_1) gains 2/3 of e_1 (x) e_0
+    off = hs.R.mat.rows[1 * 3 + 0][0 * 3 + 1]
+    bad = dataclasses.replace(hs, R=_with_entry(hs.R, 1 * 3 + 0, 0 * 3 + 1, off + q_num("2/3")))
+    assert validation_report(bad)["yang_baxter"] is False
+    # 2R still satisfies the braid relation but not the Hecke condition
+    scaled = dataclasses.replace(hs, R=hs.R.scale(q_num(2)))
+    rep = validation_report(scaled)
+    assert rep["yang_baxter"] is True
+    assert rep["hecke"] is False
+
+
+def test_validation_report_flips_on_mutated_psi():
+    hs = build_dj_gl(3, q_num("7/5"))
+    row, entries = next(iter(hs.psi.mat.rows.items()))
+    col, value = next(iter(entries.items()))
+    bad = dataclasses.replace(hs, psi=_with_entry(hs.psi, row, col, value + q_num(1)))
+    rep = validation_report(bad)
+    assert rep == {"yang_baxter": True, "hecke": True, "skew_inverse": False}

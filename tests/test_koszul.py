@@ -27,8 +27,8 @@ def test_hatted_basis_matches_index_formula():
     hs = build_dj_gl(2, qc("7/5"))
     basis = HattedBasis.build(hs, 2)
     N = 2
-    R = hs.R.mat.data
-    Ri = hs.r_inv.mat.data
+    R = hs.R.mat.to_dense(hs.table).data
+    Ri = hs.r_inv.mat.to_dense(hs.table).data
     for i1 in range(N):
         for i2 in range(N):
             for j1 in range(N):
@@ -165,7 +165,7 @@ def test_intermediate_composite_actions():
     t = hs.table
     xi = q - q.inv()
     two_q = qnumber(2, q)
-    r2 = embed_at(hs.R, 2, 3).mat
+    r2 = embed_at(hs.R, 2, 3)
 
     def vs(d, c):
         return {k: c * v for k, v in d.items()} if c else {}
@@ -182,7 +182,7 @@ def test_intermediate_composite_actions():
                     del out[k]
         return out
 
-    v_r2 = vec_from_structure(r2, hs, 3)
+    v_r2 = vec_from_structure(r2, hs)
     start = vadd(vs(ps.ia_vec, xi), vs(ps.ib_vec, Scalar.from_fraction(t, 2)),
                  vs(v_r2, xi))
     once = ps.p2_plus_pos2.apply(ps.p2_plus_pos1.apply(start))

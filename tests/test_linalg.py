@@ -9,19 +9,13 @@ from braidorbit.linalg import (
     RowSpace,
     SparseMat,
     TensorOp,
-    bareiss,
     det_bareiss,
     embed_at,
     flip_op,
     inverse,
-    kron,
-    nullspace,
     partial_trace,
-    rank,
     rowreduce,
     set_entry_cap,
-    solve,
-    subspace_membership,
 )
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable, parse_scalar
 
@@ -31,14 +25,19 @@ def mat(table, rows):
                             for x in row] for row in rows])
 
 
+def sparse(table, rows):
+    return SparseMat.from_dense(mat(table, rows))
+
+
 def test_identity_and_kron():
-    i2 = MatrixS.identity(EMPTY_TABLE, 2)
-    assert kron(i2, i2) == MatrixS.identity(EMPTY_TABLE, 4)
-    a = mat(EMPTY_TABLE, [[1, 2], [3, 4]])
-    b = mat(EMPTY_TABLE, [[0, 1], [1, 0]])
-    k = kron(a, b)
+    i2 = SparseMat.identity(2, Scalar.one(EMPTY_TABLE))
+    assert i2.kron(i2) == SparseMat.identity(4, Scalar.one(EMPTY_TABLE))
+    a = sparse(EMPTY_TABLE, [[1, 2], [3, 4]])
+    b = sparse(EMPTY_TABLE, [[0, 1], [1, 0]])
+    k = a.kron(b).to_dense(EMPTY_TABLE)
     assert k[(0, 1)] == parse_scalar("1", EMPTY_TABLE)
     assert k[(3, 2)] == parse_scalar("4", EMPTY_TABLE)
+    assert k[(0, 0)].is_zero()
 
 
 def test_embed_at_definitions():
@@ -47,24 +46,26 @@ def test_embed_at_definitions():
     assert embed_at(sigma, 1, 2) == sigma
     # I (x) R at position 2 of three factors
     emb = embed_at(sigma, 2, 3)
-    i2 = MatrixS.identity(t, 2)
-    expected = kron(i2, sigma.mat)
+    i2 = SparseMat.identity(2, Scalar.one(t))
+    expected = i2.kron(sigma.mat)
     assert emb.mat == expected
     emb1 = embed_at(sigma, 1, 3)
-    assert emb1.mat == kron(sigma.mat, i2)
+    assert emb1.mat == sigma.mat.kron(i2)
 
 
 def test_partial_trace_flip_and_identity():
-    sigma = flip_op(EMPTY_TABLE, 2)
+    t = EMPTY_TABLE
+    sigma = flip_op(t, 2)
     # Tr_2 sigma = I for the flip
-    assert partial_trace(sigma, 2).mat == MatrixS.identity(EMPTY_TABLE, 2)
-    assert partial_trace(sigma, 1).mat == MatrixS.identity(EMPTY_TABLE, 2)
-    ii = TensorOp(2, 2, MatrixS.identity(EMPTY_TABLE, 4))
+    assert partial_trace(sigma, 2).mat == SparseMat.identity(2, Scalar.one(t))
+    assert partial_trace(sigma, 1).mat == SparseMat.identity(2, Scalar.one(t))
+    ii = TensorOp.identity(t, 2, 2)
     tr1 = partial_trace(ii, 1)
-    assert tr1.mat == MatrixS.identity(EMPTY_TABLE, 2).scale(parse_scalar("2", EMPTY_TABLE))
+    assert tr1.mat == SparseMat.identity(2, parse_scalar("2", t))
     # trace over all spaces equals the full matrix trace
     full = partial_trace(tr1, 1)
-    assert full.mat[(0, 0)] == sigma.mat.trace() + parse_scalar("2", EMPTY_TABLE)
+    assert full.mat.to_dense(t)[(0, 0)] == \
+        sigma.mat.to_dense(t).trace() + parse_scalar("2", t)
 
 
 def _dj_r_matrix(table, N, q):
@@ -81,25 +82,26 @@ def _dj_r_matrix(table, N, q):
                 m.data[j * N + i][col] = m.data[j * N + i][col] + one
                 if i < j:
                     m.data[col][col] = m.data[col][col] + xi
-    return TensorOp(N, 2, m)
+    return TensorOp(N, 2, SparseMat.from_dense(m), table)
 
 
 def test_partial_trace_dj_hand_contraction():
     t = SymbolTable(["q"])
     q = Scalar.from_symbol(t, "q")
     r = _dj_r_matrix(t, 2, q)
-    traced = partial_trace(r, 2)
+    traced = partial_trace(r, 2).mat.to_dense(t)
+    rd = r.mat.to_dense(t)
     # hand contraction: entry (i,k) = sum_j R[(i,j),(k,j)]
     zero = Scalar.zero(t)
     for i in range(2):
         for k in range(2):
             acc = zero
             for j in range(2):
-                acc = acc + r.mat[(i * 2 + j, k * 2 + j)]
-            assert traced.mat[(i, k)] == acc
+                acc = acc + rd[(i * 2 + j, k * 2 + j)]
+            assert traced[(i, k)] == acc
     # concrete values: diag = q + xi for row 0 (j=1 adds xi), q for row 1... verified numerically
-    assert traced.mat[(0, 0)] == q + (q - q.inv())
-    assert traced.mat[(1, 1)] == q
+    assert traced[(0, 0)] == q + (q - q.inv())
+    assert traced[(1, 1)] == q
 
 
 def test_det_examples():
@@ -157,44 +159,6 @@ def test_inverse_solve_nullspace():
     assert m * inv == MatrixS.identity(t, 2)
     with pytest.raises(SingularMatrix):
         inverse(mat(t, [[1, 2], [2, 4]]))
-    ns = nullspace(mat(t, [[1, 2], [2, 4]]))
-    assert len(ns) == 1
-    assert ns[0][0] + 2 * ns[0][1] == Scalar.zero(t)
-    sol = solve(mat(t, [[1, 2], [2, 4]]), [parse_scalar("1", t), parse_scalar("2", t)])
-    assert sol is not None
-    assert sol[0] + 2 * sol[1] == Scalar.one(t)
-    assert solve(mat(t, [[1, 2], [2, 4]]), [parse_scalar("1", t), parse_scalar("3", t)]) is None
-    assert bareiss(mat(t, [[1, 2], [2, 4]]), "rank") == 1
-
-
-def test_membership_certificates():
-    t = EMPTY_TABLE
-    one = Scalar.one(t)
-    zero = Scalar.zero(t)
-    v = [one, zero]
-    ok, cert = subspace_membership(v, [v])
-    assert ok and cert == {0: one}
-    ok, residual = subspace_membership([one, zero], [[zero, one]])
-    assert not ok
-    assert residual == {0: one}
-
-
-def test_membership_random_combination_reconstructs():
-    rng = random.Random(17)
-    t = EMPTY_TABLE
-    dim, k = 8, 5
-    span = [[Scalar.from_fraction(t, rng.randint(-3, 3)) for _ in range(dim)]
-            for _ in range(k)]
-    coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
-    v = [Scalar.zero(t)] * dim
-    for c, w in zip(coeffs, span):
-        v = [a + Scalar.from_fraction(t, c) * b for a, b in zip(v, w)]
-    ok, cert = subspace_membership(v, span)
-    assert ok
-    recon = [Scalar.zero(t)] * dim
-    for idx, c in cert.items():
-        recon = [a + c * b for a, b in zip(recon, span[idx])]
-    assert recon == v
 
 
 def test_rowspace_order_independence():
@@ -225,12 +189,14 @@ def test_locality_property():
                          for _ in range(4)] for _ in range(4)])
     b_mat = MatrixS(t, [[Scalar.from_fraction(t, rng.randint(-2, 2)) for _ in range(2)]
                         for _ in range(2)])
-    a = TensorOp(2, 2, a_mat)
-    b_kron_i = TensorOp(2, 2, kron(b_mat, MatrixS.identity(t, 2)))
+    a = TensorOp(2, 2, SparseMat.from_dense(a_mat), t)
+    b = SparseMat.from_dense(b_mat)
+    i2 = SparseMat.identity(2, Scalar.one(t))
+    b_kron_i = TensorOp(2, 2, b.kron(i2), t)
     lhs = partial_trace(a * b_kron_i, 2)
-    rhs = partial_trace(a, 2).mat * b_mat
+    rhs = partial_trace(a, 2).mat * b
     assert lhs.mat == rhs
-    i_kron_b = TensorOp(2, 2, kron(MatrixS.identity(t, 2), b_mat))
+    i_kron_b = TensorOp(2, 2, i2.kron(b), t)
     assert partial_trace(a * i_kron_b, 2).mat == partial_trace(i_kron_b * a, 2).mat
 
 
@@ -241,15 +207,23 @@ def test_sparse_roundtrip_and_ops():
     assert s.to_dense(t) == m
     assert (s * SparseMat.identity(3, Scalar.one(t))).rows == s.rows
     st = s.transpose()
-    assert st.to_dense(t) == m.transpose()
+    assert st.to_dense(t).data == [list(col) for col in zip(*m.data)]
     v = s.apply({0: Scalar.one(t), 2: Scalar.one(t)})
     assert v[0] == parse_scalar("3", t)
 
 
 def test_entry_cap():
+    sigma = flip_op(EMPTY_TABLE, 2)
     set_entry_cap(10)
     try:
         with pytest.raises(ResourceLimit):
             MatrixS.zeros(EMPTY_TABLE, 100, 100)
+        # sparse allocations are estimated from the stored entries:
+        # 4 entries of the flip times 4 copies, and 4 x 4 for the product
+        with pytest.raises(ResourceLimit):
+            embed_at(sigma, 1, 4)
+        with pytest.raises(ResourceLimit):
+            sigma.mat.kron(sigma.mat)
+        assert embed_at(sigma, 1, 3).mat.nnz() == 8
     finally:
         set_entry_cap(800_000_000)
