@@ -352,8 +352,16 @@ def flip_op(table: SymbolTable, N: int) -> TensorOp:
 
 
 def _clear_rows(m: MatrixS) -> tuple[list, Scalar]:
-    """Clear denominators row by row; return (Poly rows, product of row factors)."""
+    """Rows over an integral domain, and the Scalar they were scaled by.
+
+    A constant matrix stays over Q: its rows are the entries' Fractions and
+    the factor is 1.  Otherwise each row is multiplied by the lcm of its
+    denominators and becomes a row of Polys.
+    """
     table = m.table
+    values = [[a.const_or_none() for a in row] for row in m.data]
+    if all(c is not None for row in values for c in row):
+        return values, Scalar.one(table)
     rows = []
     factor = Scalar.one(table)
     for row in m.data:
@@ -371,7 +379,12 @@ def _clear_rows(m: MatrixS) -> tuple[list, Scalar]:
 
 
 def det_bareiss(m: MatrixS) -> Scalar:
-    """Exact determinant by one-step fraction-free (Bareiss) elimination."""
+    """Exact determinant by one-step fraction-free (Bareiss) elimination.
+
+    The entries are Fractions or Polys (see ``_clear_rows``); the exact
+    division by the previous pivot is ``/`` for the first and
+    ``poly_div_exact`` for the second.
+    """
     if m.nrows != m.ncols:
         raise DimensionMismatch("determinant of non-square matrix")
     n = m.nrows
@@ -379,12 +392,14 @@ def det_bareiss(m: MatrixS) -> Scalar:
     if n == 0:
         return Scalar.one(table)
     rows, factor = _clear_rows(m)
+    over_q = isinstance(rows[0][0], Fraction)
+    zero, prev = (Fraction(0), Fraction(1)) if over_q else \
+        (Poly.zero(table), Poly.const(table, 1))
     sign = 1
-    prev = Poly.const(table, 1)
     for k in range(n - 1):
         piv = None
         for r in range(k, n):
-            if not rows[r][k].is_zero():
+            if rows[r][k] != zero:
                 piv = r
                 break
         if piv is None:
@@ -399,15 +414,15 @@ def det_bareiss(m: MatrixS) -> Scalar:
             head = ri[k]
             for j in range(k + 1, n):
                 num = ri[j] * pivot - head * rk[j]
-                q = poly_div_exact(num, prev)
+                q = num / prev if over_q else poly_div_exact(num, prev)
                 if q is None:
                     raise ArithmeticError("Bareiss division not exact")
                 ri[j] = q
-            ri[k] = Poly.zero(table)
         prev = pivot
-    det_poly = rows[n - 1][n - 1]
-    det = Scalar.make(det_poly if sign > 0 else -det_poly, Poly.const(table, 1))
-    return det / factor
+    det = rows[n - 1][n - 1] if sign > 0 else -rows[n - 1][n - 1]
+    if over_q:
+        return Scalar.from_fraction(table, det)
+    return Scalar.make(det, Poly.const(table, 1)) / factor
 
 
 def rowreduce(m: MatrixS) -> tuple[MatrixS, list, int, list]:

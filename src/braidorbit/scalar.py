@@ -14,19 +14,29 @@ pinned down once and used everywhere:
   invariant is: a ``Scalar`` is constant exactly when it carries a
   ``Fraction``.
 
-The multivariate gcd uses recursive content/primitive-part decomposition
-with Brown's subresultant pseudo-remainder sequence, so no factorization is
-ever required.  ``FactoredRational`` is a companion representation for
-pipelines whose denominators are products of known irreducible factors
-(eigenvalue differences, cyclotomic polynomials in q); cancellation there is
-exact trial division, which sidesteps general gcds on large intermediates.
+``Poly`` holds ``Fraction`` coefficients, but exact division and the gcd
+run in an integer kernel: each input is cleared once to an integral
+polynomial, {exponent tuple: int}, and the result converted back once.
+Exact division is one grlex pass over a max-heap of packed monomials, so
+the remainder is never rescanned; by Gauss's lemma a primitive divisor
+divides exactly when the quotient is integral, so the first leading
+coefficient that does not divide ends the pass with no quotient.  The
+multivariate gcd uses recursive content/primitive-part decomposition with
+Brown's subresultant pseudo-remainder sequence, all of it in Z[x], so no
+factorization is ever required.  ``FactoredRational`` is a companion
+representation for pipelines whose denominators are products of known
+irreducible factors (eigenvalue differences, cyclotomic polynomials in q);
+cancellation there is exact trial division, which sidesteps general gcds on
+large intermediates.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -105,19 +115,6 @@ EMPTY_TABLE = SymbolTable(())
 
 def _mono_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
-
-
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_div(a: tuple, b: tuple) -> Optional[tuple]:
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
 
 
 class Poly:
@@ -370,12 +367,168 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# exact division and gcd
+# exact division and gcd: the integer kernel
 # ---------------------------------------------------------------------------
+#
+# The kernel works on integer polynomials, dicts {exponent tuple: int}.  A
+# Poly enters it once through _int_form and leaves it once, as Fractions.
+
+
+def _int_form(p: Poly) -> tuple[dict, int]:
+    """(P, d) with p = P/d, P integral and d the lcm of p's denominators."""
+    d = 1
+    for c in p.terms.values():
+        cd = c.denominator
+        if cd != 1:
+            d = d * cd // int_gcd(d, cd)
+    if d == 1:
+        return {e: c.numerator for e, c in p.terms.items()}, 1
+    return {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
+
+
+def _zcontent(P: dict) -> int:
+    """Integer content of P, signed like its grlex-leading coefficient."""
+    g = int_gcd(*P.values())
+    return -g if P[max(P, key=_mono_key)] < 0 else g
+
+
+def _zprimitive(P: dict) -> dict:
+    """P over its signed content: primitive, positive grlex-leading coefficient."""
+    g = _zcontent(P)
+    return P if g == 1 else {e: c // g for e, c in P.items()}
+
+
+def _zone(P: dict) -> dict:
+    """The constant 1 over the exponent width of P."""
+    return {(0,) * len(next(iter(P))): 1}
+
+
+def _zis_const(P: dict) -> bool:
+    return len(P) == 1 and not any(next(iter(P)))
+
+
+def _zmul(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            v = out.get(e, 0) + ca * cb
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
+
+
+def _zsub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) - c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
+def _zneg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def _zpow(a: dict, n: int) -> dict:
+    result = _zone(a)
+    while n:
+        if n & 1:
+            result = _zmul(result, a)
+        n >>= 1
+        if n:
+            a = _zmul(a, a)
+    return result
+
+
+def _zdiv(F: dict, G: dict) -> Optional[dict]:
+    """F/G when it lies in Z[x], else None (F, G nonzero and integral).
+
+    One grlex division that never rescans the remainder.  Every exponent
+    met is at most the total degree t of F, so a monomial e packs into the
+    int sum(e_i * w_i) with w_i = B^n + B^(n-1-i) and B = t + 1: int order
+    is grlex order, and a product of monomials is a sum of keys.  Each
+    remainder monomial is pushed on a max-heap once, when it enters the
+    remainder.  A term that cancels keeps its key with coefficient 0 until
+    its entry is popped and skipped; if it reappears first, the same entry
+    serves it.  A leading coefficient that lc(G) does not divide ends the
+    division with None.
+    """
+    ge = max(G, key=_mono_key)
+    lc = G[ge]
+    if not any(ge):
+        out = {}
+        for e, c in F.items():
+            qc, r = divmod(c, lc)
+            if r:
+                return None
+            out[e] = qc
+        return out
+    top = max(map(sum, F))
+    if sum(ge) > top:
+        return None
+    n = len(ge)
+    base = top + 1
+    span = base ** n
+    weights = [span + base ** (n - 1 - i) for i in range(n)]
+    rem = {sum(map(mul, e, weights)): c for e, c in F.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
+    gkey = sum(map(mul, ge, weights))
+    tail = [(sum(map(mul, e, weights)), -c) for e, c in G.items() if e != ge]
+    quot = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
+        # unpack the exponents of k and divide the monomial by lm(G)
+        lex = k % span
+        qe = [0] * n
+        for i in range(n - 1, -1, -1):
+            lex, x = divmod(lex, base)
+            x -= ge[i]
+            if x < 0:
+                return None
+            qe[i] = x
+        qc, r = divmod(c, lc)
+        if r:
+            return None
+        quot[tuple(qe)] = qc
+        qk = k - gkey
+        for tk, tc in tail:
+            key = qk + tk
+            v = rem.get(key)
+            if v is None:
+                rem[key] = qc * tc
+                heappush(heap, -key)
+            else:
+                rem[key] = v + qc * tc
+    return quot
+
+
+def _zquo(F: dict, G: dict) -> dict:
+    q = _zdiv(F, G)
+    if q is None:
+        raise ArithmeticError("inexact division in the subresultant chain")
+    return q
 
 
 def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
-    """Exact quotient f/g, or None when g does not divide f."""
+    """Exact quotient f/g, or None when g does not divide f.
+
+    With f = F/d and g = c*G, F integral and G primitive, Gauss's lemma says
+    that G divides F in Q[x] exactly when F/G lies in Z[x].  So the division
+    runs over Z (``_zdiv``) and returns None at the first step whose leading
+    coefficient lc(G) does not divide; the quotient is (F/G)/(d*c).
+    """
     if g.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if f.is_zero():
@@ -383,26 +536,19 @@ def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
     gc = g.const_or_none()
     if gc is not None:
         return f.scale(1 / gc)
-    rem = dict(f.terms)
-    quot: dict = {}
-    ge, gcoef = g.leading()
-    gtail = [(e, c) for e, c in g.terms.items() if e != ge]
-    while rem:
-        e = max(rem, key=_mono_key)
-        c = rem.pop(e)
-        qe = _mono_div(e, ge)
-        if qe is None:
-            return None
-        qc = c / gcoef
-        quot[qe] = quot.get(qe, _ZERO) + qc
-        for te, tc in gtail:
-            key = _mono_mul(qe, te)
-            s = rem.get(key, _ZERO) - qc * tc
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return Poly(f.table, quot)
+    F, d = _int_form(f)
+    G, dg = _int_form(g)
+    cg = int_gcd(*G.values())
+    if cg != 1:
+        G = {e: c // cg for e, c in G.items()}
+    quot = _zdiv(F, G)
+    if quot is None:
+        return None
+    # f/g = (F/G) * dg / (d * cg)
+    s = Fraction(dg, d * cg)
+    if s == 1:
+        return Poly(f.table, {e: Fraction(c) for e, c in quot.items()})
+    return Poly(f.table, {e: c * s for e, c in quot.items()})
 
 
 def poly_divisible(f: Poly, g: Poly) -> bool:
@@ -413,146 +559,148 @@ def _int_content_normalized(p: Poly) -> tuple[Poly, Fraction]:
     """Split p = content * primitive with an integer-primitive, grlex-monic-sign part."""
     if p.is_zero():
         return p, _ZERO
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = int_gcd(num_gcd, abs(c.numerator) * (denom_lcm // c.denominator))
-    content = Fraction(num_gcd, denom_lcm)
-    prim = p.scale(1 / content)
-    if prim.leading()[1] < 0:
-        prim = prim.scale(-1)
-        content = -content
-    return prim, content
+    P, d = _int_form(p)
+    g = _zcontent(P)
+    return Poly(p.table, {e: Fraction(c // g) for e, c in P.items()}), Fraction(g, d)
 
 
-def _to_univariate(p: Poly, var: int) -> dict:
-    """View p as univariate in `var`: degree -> Poly coefficient (var removed)."""
-    buckets: dict = {}
-    for e, c in p.terms.items():
-        d = e[var]
+def _to_univariate(P: dict, var: int) -> dict:
+    """View P as univariate in `var`: degree -> coefficient (var exponent 0)."""
+    out: dict = {}
+    for e, c in P.items():
         ne = list(e)
         ne[var] = 0
-        buckets.setdefault(d, {})[tuple(ne)] = c
-    return {d: Poly(p.table, t) for d, t in buckets.items()}
+        out.setdefault(e[var], {})[tuple(ne)] = c
+    return out
 
 
-def _from_univariate(table: SymbolTable, var: int, coeffs: Mapping[int, Poly]) -> Poly:
-    terms: dict = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
+def _from_univariate(var: int, u: Mapping[int, dict]) -> dict:
+    out = {}
+    for d, coeff in u.items():
+        for e, c in coeff.items():
             ne = list(e)
-            ne[var] += d
-            key = tuple(ne)
-            s = terms.get(key, _ZERO) + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return Poly(table, terms)
+            ne[var] = d
+            out[tuple(ne)] = c
+    return out
 
 
-def _uni_degree(u: dict) -> int:
-    return max(u) if u else -1
-
-
-def _uni_lc(u: dict) -> Poly:
-    return u[max(u)]
-
-
-def _uni_prem(f: dict, g: dict, table: SymbolTable) -> dict:
-    """Pseudo-remainder prem(f, g) for univariate polys with Poly coefficients."""
-    dg = _uni_degree(g)
+def _uni_prem(f: dict, g: dict) -> dict:
+    """Pseudo-remainder prem(f, g) of univariate polys with integral coefficients."""
+    dg = max(g)
     lead_g = g[dg]
     r = dict(f)
-    n = _uni_degree(r) - dg
-    while True:
-        dr = _uni_degree(r)
-        if dr < dg:
-            break
+    n = max(r) - dg
+    while r and max(r) >= dg:
+        dr = max(r)
         lead_r = r[dr]
-        new: dict = {}
-        for d, c in r.items():
-            if d != dr:
-                new[d] = c * lead_g
+        new = {d: _zmul(c, lead_g) for d, c in r.items() if d != dr}
         for d, c in g.items():
             if d == dg:
                 continue
             key = d + dr - dg
-            val = new.get(key, Poly.zero(table)) - lead_r * c
-            if val.is_zero():
-                new.pop(key, None)
-            else:
+            val = _zsub(new.get(key, {}), _zmul(lead_r, c))
+            if val:
                 new[key] = val
+            else:
+                new.pop(key, None)
         r = new
         n -= 1
     # prem multiplies f by lc(g)^(deg f - deg g + 1); the loop applied one
     # factor per reduction step, so pad to the standard normalization.
-    while n >= 0:
-        r = {d: c * lead_g for d, c in r.items()}
-        n -= 1
+    if n >= 0 and r:
+        pad = _zpow(lead_g, n + 1)
+        r = {d: _zmul(c, pad) for d, c in r.items()}
     return r
 
 
-def _uni_quo_ground(u: dict, p: Poly) -> dict:
-    pc = p.const_or_none()
-    if pc is not None:
-        return {d: c.scale(1 / pc) for d, c in u.items()}
-    out = {}
-    for d, c in u.items():
-        q = poly_div_exact(c, p)
-        if q is None:
-            raise ArithmeticError("inexact ground division in subresultant chain")
-        out[d] = q
-    return out
+def _uni_quo_ground(u: dict, p: dict) -> dict:
+    return {d: _zquo(c, p) for d, c in u.items()}
 
 
-def _poly_list_gcd(polys: Sequence[Poly]) -> Poly:
+def _poly_list_gcd(polys: Sequence[dict]) -> dict:
     acc = None
     for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc.is_constant() and not acc.is_zero():
-            return Poly.const(acc.table, 1)
-    return acc if acc is not None else None
+        acc = p if acc is None else _zgcd(acc, p)
+        if _zis_const(acc):
+            return _zone(acc)
+    return acc
 
 
-def _uni_content(u: dict) -> Poly:
+def _uni_content(u: dict) -> dict:
     return _poly_list_gcd(list(u.values()))
 
 
-def _subresultant_last(f: dict, g: dict, table: SymbolTable) -> dict:
+def _subresultant_last(f: dict, g: dict) -> dict:
     """Last nonzero element of the subresultant PRS of f, g (deg f >= deg g)."""
-    n, m = _uni_degree(f), _uni_degree(g)
+    n, m = max(f), max(g)
     d = n - m
-    h = _uni_prem(f, g, table)
+    h = _uni_prem(f, g)
     if d % 2 == 0:
-        h = {k: -c for k, c in h.items()}
-    lc = _uni_lc(g)
-    c = lc ** d
-    c = -c
+        h = {k: _zneg(c) for k, c in h.items()}
+    lc = g[m]
+    c = _zneg(_zpow(lc, d))
     last = g
     while h:
-        k = _uni_degree(h)
+        k = max(h)
         last = h
         f, g, m, d = g, h, k, m - k
-        b = -(lc * (c ** d))
-        h = _uni_prem(f, g, table)
-        h = _uni_quo_ground(h, b)
-        lc = _uni_lc(g)
+        b = _zneg(_zmul(lc, _zpow(c, d)))
+        h = _uni_quo_ground(_uni_prem(f, g), b)
+        lc = g[k]
         if d > 1:
-            num = (-lc) ** d
-            q = poly_div_exact(num, c ** (d - 1))
-            if q is None:
-                raise ArithmeticError("inexact division for subresultant coefficient")
-            c = q
+            c = _zquo(_zpow(_zneg(lc), d), _zpow(c, d - 1))
         else:
-            c = -lc
+            c = _zneg(lc)
     return last
 
 
+def _zgcd(f: dict, g: dict) -> dict:
+    """Primitive gcd of nonzero integral f, g, with positive leading coefficient."""
+    if _zis_const(f) or _zis_const(g):
+        return _zone(f)
+    # shared monomial content comes out directly (q-power denominators are
+    # the common case in the deformation pipelines)
+    shared = tuple(map(min, *f, *g))
+    if any(shared):
+        strip_f = {tuple(map(sub, e, shared)): c for e, c in f.items()}
+        strip_g = {tuple(map(sub, e, shared)): c for e, c in g.items()}
+        return {tuple(map(add, e, shared)): c for e, c in _zgcd(strip_f, strip_g).items()}
+    if len(f) == 1 or len(g) == 1:
+        # a monomial shares nothing beyond the stripped content
+        return _zone(f)
+    common = {i for e in f for i, x in enumerate(e) if x} & \
+        {i for e in g for i, x in enumerate(e) if x}
+    if not common:
+        return _zone(f)
+    f = _zprimitive(f)
+    g = _zprimitive(g)
+    if f == g:
+        return f
+    var = min(common, key=lambda v: max(e[v] for e in f) + max(e[v] for e in g))
+    fu = _to_univariate(f, var)
+    gu = _to_univariate(g, var)
+    f_cont = _uni_content(fu)
+    g_cont = _uni_content(gu)
+    cont = _zgcd(f_cont, g_cont)
+    fp = _uni_quo_ground(fu, f_cont)
+    gp = _uni_quo_ground(gu, g_cont)
+    if max(fp) < max(gp):
+        fp, gp = gp, fp
+    last = _subresultant_last(fp, gp)
+    if max(last) == 0:
+        return cont
+    prim = _from_univariate(var, _uni_quo_ground(last, _uni_content(last)))
+    return _zprimitive(_zmul(cont, prim))
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Primitive gcd over Q[x...]: integer coefficients, gcd 1, positive leading."""
+    """Primitive gcd over Q[x...]: integer coefficients, gcd 1, positive leading.
+
+    Over Q the gcd is fixed up to a constant, so both inputs are cleared to
+    integral polynomials and the whole recursion (contents, primitive parts,
+    Brown's subresultant chain) runs in Z[x] on ints; every division in it
+    is exact there.  Fractions are built once, for the result.
+    """
     table = f.table
     if f.is_zero() and g.is_zero():
         return Poly.zero(table)
@@ -562,47 +710,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return _int_content_normalized(f)[0]
     if f.is_constant() or g.is_constant():
         return Poly.const(table, 1)
-    # shared monomial content comes out directly (q-power denominators are
-    # the common case in the deformation pipelines)
-    width = len(table)
-    min_f = [min(e[v] for e in f.terms) for v in range(width)]
-    min_g = [min(e[v] for e in g.terms) for v in range(width)]
-    shared = tuple(min(a, b) for a, b in zip(min_f, min_g))
-    if any(shared):
-        strip_f = Poly(table, {tuple(x - s for x, s in zip(e, shared)): c
-                               for e, c in f.terms.items()})
-        strip_g = Poly(table, {tuple(x - s for x, s in zip(e, shared)): c
-                               for e, c in g.terms.items()})
-        mono = Poly(table, {shared: _ONE})
-        return _int_content_normalized(mono * poly_gcd(strip_f, strip_g))[0]
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        # a monomial shares nothing beyond the stripped content
-        return Poly.const(table, 1)
-    common = f.variables() & g.variables()
-    if not common:
-        return Poly.const(table, 1)
-    f = _int_content_normalized(f)[0]
-    g = _int_content_normalized(g)[0]
-    if f == g:
-        return f
-    var = min(common, key=lambda v: f.degree_in(v) + g.degree_in(v))
-    fu = _to_univariate(f, var)
-    gu = _to_univariate(g, var)
-    f_cont = _uni_content(fu)
-    g_cont = _uni_content(gu)
-    cont = poly_gcd(f_cont, g_cont)
-    fp = _uni_quo_ground(fu, f_cont)
-    gp = _uni_quo_ground(gu, g_cont)
-    if _uni_degree(fp) < _uni_degree(gp):
-        fp, gp = gp, fp
-    last = _subresultant_last(fp, gp, table)
-    if _uni_degree(last) == 0:
-        prim = Poly.const(table, 1)
-    else:
-        last = _uni_quo_ground(last, _uni_content(last))
-        prim = _from_univariate(table, var, last)
-    result = cont * prim
-    return _int_content_normalized(result)[0]
+    result = _zgcd(_int_form(f)[0], _int_form(g)[0])
+    return Poly(table, {e: Fraction(c) for e, c in result.items()})
 
 
 def poly_lcm(f: Poly, g: Poly) -> Poly:

@@ -603,39 +603,49 @@ def power_sum_param(k: int, profile: EigenvalueProfile) -> Scalar:
 
 
 def _profile_factored_data(profile: EigenvalueProfile):
-    """Quantum dimensions as FactoredRationals when eigenvalues are bare symbols."""
+    """Quantum dimensions as FactoredRationals when eigenvalues are bare symbols.
+
+    A profile whose values are all constants has no factors to track, so it
+    takes the Scalar route, which stays on Fractions.
+    """
     if profile._fr is not None:
         return profile._fr
-    table = profile.table
 
     def is_bare(x: Scalar) -> bool:
-        return x.den.is_constant() and (x.num.is_constant() or
-                                        (len(x.num.terms) == 1 and
-                                         sum(next(iter(x.num.terms))) == 1 and
-                                         set(x.num.terms.values()) == {Fraction(1)}))
+        return x.is_constant() or (x.den.is_constant() and
+                                   len(x.num.terms) == 1 and
+                                   sum(next(iter(x.num.terms))) == 1 and
+                                   set(x.num.terms.values()) == {Fraction(1)})
 
-    usable = all(is_bare(x) for x in [*profile.mus, *profile.nus]) and \
-        (profile.q.is_constant() or is_bare(profile.q)) and \
-        (profile.h.is_zero() or profile.h.is_constant() or is_bare(profile.h))
-    if not usable:
+    values = [*profile.mus, *profile.nus, profile.q, profile.h]
+    if not all(map(is_bare, values)) or all(x.is_constant() for x in values):
         profile._fr = {}
         return profile._fr
 
     q = profile.q
     dim_fr = []
     for kind, nums, dens in _dim_factor_pairs(profile):
-        unit = q.inv() if kind == "even" else -q
-        fr = _fr_div_poly(FactoredRational(unit.num), unit.den)
+        fr = _fr_mul(FactoredRational.const(profile.table, 1),
+                     q.inv() if kind == "even" else -q)
         for f in nums:
             # numerator factors may carry q-powers in their denominators
-            fr = _fr_div_poly(fr.mul_poly(f.num), f.den)
+            fr = _fr_mul(fr, f)
         for f in dens:
             if f.is_zero():
                 raise DegenerateProfile("coincident eigenvalues make a dimension singular")
-            fr = _fr_div_poly(fr, f.num).mul_poly(f.den)
+            c = f.const_or_none()
+            fr = fr.scale(1 / c) if c is not None else _fr_div_poly(fr, f.num).mul_poly(f.den)
         dim_fr.append((kind, fr))
     profile._fr = {"dims": dim_fr}
     return profile._fr
+
+
+def _fr_mul(fr: FactoredRational, x: Scalar) -> FactoredRational:
+    """fr * x, where x is a constant or has a known-irreducible denominator."""
+    c = x.const_or_none()
+    if c is not None:
+        return fr.scale(c)
+    return _fr_div_poly(fr.mul_poly(x.num), x.den)
 
 
 def _fr_div_poly(fr: FactoredRational, den: Poly) -> FactoredRational:
@@ -666,7 +676,8 @@ def _power_sum_fr(k: int, profile: EigenvalueProfile) -> FactoredRational:
     vals = profile.mus + profile.nus
     acc = FactoredRational.const(table, 0)
     for (kind, fr), v in zip(dims, vals):
-        acc = acc + fr.mul_poly((v ** k).num)
+        c = v.const_or_none()
+        acc = acc + (fr.scale(c ** k) if c is not None else fr.mul_poly((v ** k).num))
     return acc
 
 
@@ -680,13 +691,11 @@ def _a_values_fr(profile: EigenvalueProfile, K: int) -> list:
         raise ArithmeticError("factored route unavailable for this profile")
     pvals = [_power_sum_fr(k, profile) for k in range(1, K + 1)]
     avals = [FactoredRational.const(table, 1)]
-    q_sym = None if q.is_constant() else q.num
     for k in range(1, K + 1):
         acc = FactoredRational.const(table, 0)
         for r in range(k):
             term = avals[r] * pvals[k - r - 1]
-            mq = (-q) ** r
-            term = _fr_div_poly(term.mul_poly(mq.num), mq.den)
+            term = _fr_mul(term, (-q) ** r)
             acc = acc + term
         sign = 1 if k % 2 == 1 else -1
         acc = acc.scale(sign)

@@ -1,9 +1,12 @@
+import contextlib
+import io
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from braidorbit import hecke
+from braidorbit import cli, hecke
 from braidorbit.errors import (
     DivisionByZero,
     ParseError,
@@ -11,6 +14,7 @@ from braidorbit.errors import (
     ResourceLimit,
     UnboundSymbol,
 )
+from braidorbit.linalg import MatrixS, det_bareiss
 from braidorbit.scalar import (
     EMPTY_TABLE,
     EXPONENT_CAP,
@@ -191,6 +195,80 @@ def test_poly_gcd_random_products():
         assert poly_div_exact(b * c, g) is not None
 
 
+def _random_rational_poly(rng, table, nterms):
+    terms = {}
+    for _ in range(nterms):
+        exps = tuple(rng.randint(0, 2) for _ in table.names)
+        terms[exps] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 5))
+    return Poly(table, terms)
+
+
+def test_poly_div_exact_random_products():
+    rng = random.Random(11)
+    for width in range(1, 5):
+        t = SymbolTable([f"x{i}" for i in range(width)])
+        checked = 0
+        while checked < 15:
+            a = _random_rational_poly(rng, t, rng.randint(1, 4))
+            b = _random_rational_poly(rng, t, rng.randint(2, 4))
+            # b non-monic and not integer-primitive
+            b = b.scale(Fraction(6, 5) / b.leading()[1])
+            if b.is_constant() or len(b.terms) < 2 or a.is_zero():
+                continue
+            f = a * b
+            assert poly_div_exact(f, b) == a
+            # a multiple of b plus one monomial is a multiple of b only when
+            # b divides that monomial, which a b with two terms never does
+            e = rng.choice(sorted(f.terms))
+            bumped = Poly(t, {**f.terms, e: f.terms[e] + Fraction(1, 7)})
+            assert poly_div_exact(bumped, b) is None
+            checked += 1
+
+
+def test_poly_div_exact_gauss_exit():
+    t = SymbolTable(["x"])
+    x = Poly.symbol(t, "x")
+    one = Poly.const(t, 1)
+    two_x_plus_1 = x.scale(2) + one
+    # lc 1 of x^2 is not divisible by lc 2 of the primitive 2x + 1
+    assert poly_div_exact(x * x + x + one, two_x_plus_1) is None
+    cofactor = x.scale(Fraction(1, 3)) + Poly.const(t, Fraction(1, 2))
+    assert poly_div_exact(two_x_plus_1 * cofactor, two_x_plus_1) == cofactor
+    assert poly_div_exact(two_x_plus_1 * cofactor, cofactor) == two_x_plus_1
+
+
+def test_poly_div_exact_term_cancels_then_reappears():
+    # (-2x^4 - 3x^3 - 2x^2 - 3x - 2) / (-2x^2 + x - 2): the first step
+    # cancels the x^2 term, the second brings it back as -2x^2, and the third
+    # cancels x and 1, whose heap entries must then be skipped (x is not a
+    # multiple of the leading x^2)
+    t = SymbolTable(["x"])
+    a = parse_scalar("x^2 + 2*x + 1", t).num
+    b = parse_scalar("-2*x^2 + x - 2", t).num
+    assert poly_div_exact(a * b, b) == a
+    assert poly_div_exact(a * b + Poly.const(t, 1), b) is None
+
+
+def test_poly_gcd_primitive_and_cofactors_coprime():
+    rng = random.Random(12)
+    for width in range(1, 5):
+        t = SymbolTable([f"x{i}" for i in range(width)])
+        for _ in range(12):
+            a, b, c = (_random_rational_poly(rng, t, rng.randint(1, 3)) for _ in range(3))
+            if a.is_zero() or b.is_zero() or c.is_zero():
+                continue
+            f, g = a * c, b * c
+            d = poly_gcd(f, g)
+            coeffs = list(d.terms.values())
+            assert all(v.denominator == 1 for v in coeffs)
+            assert math.gcd(*(v.numerator for v in coeffs)) == 1
+            assert d.leading()[1] > 0
+            assert poly_div_exact(d, poly_gcd(d, c)) is not None
+            cf, cg = poly_div_exact(f, d), poly_div_exact(g, d)
+            assert cf is not None and cg is not None
+            assert poly_gcd(cf, cg) == Poly.const(t, 1)
+
+
 def test_cyclotomic_and_qnumber_factors():
     phi4 = cyclotomic(4, Q)
     assert phi4 == parse_scalar("q^2+1", Q).num
@@ -337,4 +415,29 @@ def test_numeric_q_pipeline_builds_no_poly(monkeypatch):
     assert len(built) == 0
     # the counter sees the polynomial path
     hecke.build_builtin("dj_gl", N=2, q=Scalar.from_symbol(Q, "q"))
+    assert built
+
+
+def test_constant_det_and_factored_route_build_no_poly(monkeypatch):
+    built = []
+    init = Poly.__init__
+
+    def counting_init(self, table, terms):
+        built.append(1)
+        init(self, table, terms)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    m = MatrixS(EMPTY_TABLE, [[Scalar.from_fraction(EMPTY_TABLE, Fraction(a, b)) for a, b in row]
+                              for row in [[(1, 2), (3, 1), (-2, 7)], [(5, 3), (1, 1), (4, 9)],
+                                          [(2, 1), (-1, 5), (3, 4)]]])
+    assert det_bareiss(m) == Fraction(1, 360)
+    assert len(built) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["cotangent", "--builtin", "dj_gl", "--N", "2", "--q", "7/5",
+                         "--mu", "1,2"])
+    assert code == 0 and out.getvalue()
+    assert len(built) == 0
+    # the counter sees the polynomial path of both
+    det_bareiss(MatrixS(Q, [[sc("q"), sc("1")], [sc("1"), sc("q")]]))
     assert built
