@@ -199,7 +199,7 @@ def _cmd_koszul(args) -> Report:
     ps = koszul.build_projectors(hs)
     which = args.check
     if which in ("projectors", "all"):
-        rep.add("projector-axioms", True)
+        rep.add("projector-axioms", all(ok for _, ok in ps.axioms))
     if which in ("conjecture1", "all"):
         ok, info = koszul.conjecture1_check(args.k, hs, ps)
         rep.add(f"conjecture1-k{args.k}", ok,

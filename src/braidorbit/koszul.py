@@ -7,14 +7,22 @@ Lkbar = R_{k-1 k} L(k-1)bar R_{k-1 k}^(-1).  The conjugation operator Q acts
 on hatted coefficients by sandwiching with the braiding, so the braided
 symmetrizers are its quadratic combinations:
 
-    P+ = ((q^2 + q^-2) Id + Q + Q^-1) / 2q^2
-    P- = (2 Id - Q - Q^-1) / 2q^2
+    P+ = ((q^2 + q^-2) Id + Q + Q^-1) / (2_q)^2
+    P- = (2 Id - Q - Q^-1) / (2_q)^2
 
 and the cubic symmetrizer on three factors is assembled out of the two
-position embeddings of P+ with the documented constants.  All projector
-axioms are verified exactly at build time.  Every operator here is sparse:
-the braidings are ``TensorOp``s, and Q is the Kronecker product of their
-stored entries.
+position embeddings of P+ with the documented constants.  Every operator here
+is sparse: the braidings are ``TensorOp``s, and Q is the Kronecker product of
+their stored entries.
+
+The projector axioms are identities in the Hecke algebra: T_i -> R_i^T and
+T_i -> R_i are homomorphisms from H_3(q) once ``hecke.validate`` has certified
+the braid and Hecke relations of R, and Q_i = R_i^T (x) R_i^-1 is the image
+of T_i (x) T_i^-1.  So the axioms are certified exactly, at the symmetry's
+q, in a 16-dimensional faithful representation of H_3(q) (x) H_3(q) built
+from the irreducible representations of H_3(q) (``symmetrizer_certificate``).
+No product of two arity-3 operators is formed for a symmetry: P+(3) is
+applied to vectors as a chain of mat-vecs.
 
 Quantum-trace elements have closed hatted coefficient vectors: the trace
 vector of Tr_R L^k is the transpose of (trailing matrix) . C^(x k), with the
@@ -48,10 +56,6 @@ from .scalar import Scalar, qnumber
 def _conjugation_op(r: TensorOp, rinv: TensorOp) -> SparseMat:
     """Operator V -> R^T V (R^T)^(-1) on row-major flattened coefficients."""
     return r.mat.transpose().kron(rinv.mat)
-
-
-def _identity_op(n: int, table) -> SparseMat:
-    return SparseMat.identity(n, Scalar.one(table))
 
 
 @dataclass
@@ -150,97 +154,165 @@ def trace_vector(k: int, hs: HeckeSymmetry) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _cubic_constants(q: Scalar) -> tuple:
+    """(a, b, lead) of P+(3) = lead (P1 P2 P1 P2 P1 - a P1 P2 P1 + b P1)."""
+    two_q = qnumber(2, q)
+    a = (q ** 4 + q ** 2 + 4 + q.inv() ** 2 + q.inv() ** 4) / two_q ** 4
+    b = qnumber(4, q) ** 2 / two_q ** 8
+    lead = two_q ** 6 / (qnumber(3, q) ** 2 * 4)
+    return a, b, lead
+
+
+def _sym_plus(s: SparseMat, q: Scalar) -> SparseMat:
+    """P+ = ((q^2 + q^-2) Id + Q + Q^-1) / (2_q)^2, from s = Q + Q^-1."""
+    mid = SparseMat.identity(s.nrows, q ** 2 + q.inv() ** 2)
+    return (s + mid).scale((qnumber(2, q) ** 2).inv())
+
+
+def _sym_minus(s: SparseMat, q: Scalar) -> SparseMat:
+    """P- = (2 Id - Q - Q^-1) / (2_q)^2, from s = Q + Q^-1."""
+    two = SparseMat.identity(s.nrows, Scalar.from_fraction(q.table, 2))
+    return (two - s).scale((qnumber(2, q) ** 2).inv())
+
+
+def _hecke_generators(q: Scalar) -> tuple:
+    """T1, T2 of H_3(q) on trivial + sign + reflection, block diagonal."""
+    one = Scalar.one(q.table)
+    m = -q.inv()
+    t1 = SparseMat(4, 4, {0: {0: q}, 1: {1: m}, 2: {2: q, 3: one}, 3: {3: m}})
+    t2 = SparseMat(4, 4, {0: {0: q}, 1: {1: m}, 2: {2: m}, 3: {2: one, 3: q}})
+    return t1, t2
+
+
+def symmetrizer_certificate(q: Scalar) -> list:
+    """Certify the symmetrizer axioms at q, in H_3(q) (x) H_3(q).
+
+    rho = trivial + sign + reflection is a 4-dimensional representation of
+    H_3(q) = <T1, T2 | (T - q)(T + q^-1) = 0, T1 T2 T1 = T2 T1 T2>.  Its
+    relations are checked on the matrices, and it is faithful exactly when
+    the images of the six basis elements T_w (w in S_3) have rank 6, which
+    holds whenever 2_q and 3_q are nonzero (H_3(q) is then semisimple).  A
+    tensor product of injective maps is injective, so rho (x) rho (16 x 16)
+    is faithful on H_3 (x) H_3, where Q_i is T_i (x) T_i^-1.  P+1, P+2 and
+    P+(3) are built there with the constants used for every symmetry, and
+    each axiom is an exact matrix identity:
+
+    - the two cubic expressions for P+(3) agree;
+    - P+1, P+2 and P+(3) are idempotent;
+    - absorption: P+(3) P+i = P+(3);
+    - at position 1, P+ + P- = Id and P+ P- = 0.  H_2 (x) H_2 embeds in
+      H_3 (x) H_3 through position 1, so these are the arity-2 axioms.
+
+    Returns the (axiom, True) rows; raises ProjectorAxiomFailed naming the
+    first axiom that fails.
+    """
+    rows = []
+
+    def check(name: str, ok: bool):
+        rows.append((name, ok))
+        if not ok:
+            raise ProjectorAxiomFailed(
+                f"symmetrizer certificate fails at {name!r} (q = {q})")
+
+    one = Scalar.one(q.table)
+    xi = q - q.inv()
+    t1, t2 = _hecke_generators(q)
+    ident4 = SparseMat.identity(4, one)
+    t1i = t1 - ident4.scale(xi)
+    t2i = t2 - ident4.scale(xi)
+    check("hecke-relation", t1 * t1i == ident4 and t2 * t2i == ident4)
+    check("braid-relation", t1 * t2 * t1 == t2 * t1 * t2)
+    span = RowSpace()
+    for w in (ident4, t1, t2, t1 * t2, t2 * t1, t1 * t2 * t1):
+        span.add({4 * i + j: v for i, r in w.rows.items()
+                  for j, v in r.items()})
+    check("faithful", span.rank == 6)
+
+    s1 = t1.kron(t1i) + t1i.kron(t1)
+    p1 = _sym_plus(s1, q)
+    p2 = _sym_plus(t2.kron(t2i) + t2i.kron(t2), q)
+    a, b, lead = _cubic_constants(q)
+    p121 = p1 * p2 * p1
+    p212 = p2 * p1 * p2
+    line1 = (p121 * p2 * p1 - p121.scale(a) + p1.scale(b)).scale(lead)
+    line2 = (p212 * p1 * p2 - p212.scale(a) + p2.scale(b)).scale(lead)
+    check("cubic-expressions-agree", line1 == line2)
+    p3 = line1
+    for name, p in (("P+1", p1), ("P+2", p2), ("P+(3)", p3)):
+        check(f"idempotent-{name}", p * p == p)
+    for name, p in (("P+1", p1), ("P+2", p2)):
+        check(f"absorption-{name}", p3 * p == p3)
+    m1 = _sym_minus(s1, q)
+    check("complement-pos1", p1 + m1 == SparseMat.identity(16, one))
+    check("orthogonal-pos1", (p1 * m1).is_zero())
+    return rows
+
+
 @dataclass
 class ProjectorSet:
+    """The symmetrizer operators of one symmetry that checks apply to vectors.
+
+    P+(3) is never formed: ``apply_p3_plus`` evaluates it on a vector as a
+    chain of mat-vecs with P+1 and P+2.
+    """
+
     hs: HeckeSymmetry
-    q_op: SparseMat            # arity-2 conjugation operator
-    q_inv: SparseMat
     p2_plus: SparseMat
     p2_minus: SparseMat
     p2_plus_pos1: SparseMat    # arity-3 embeddings
     p2_plus_pos2: SparseMat
-    p3_plus: SparseMat
-    a_const: Scalar
-    b_const: Scalar
+    cubic: tuple               # (a, b, lead) of P+(3)
+    axioms: list               # rows of symmetrizer_certificate
     ia_vec: dict               # hatted vector of R1 R2 R1 + R1 + R2
     ib_vec: dict               # hatted vector of R1 R2 + R2 R1 - xi (R1 + R2)
     basis2: HattedBasis
     basis3: HattedBasis
 
-
-def _p2_from_q(qop: SparseMat, qinv: SparseMat, q: Scalar, dim: int) -> tuple:
-    table = q.table
-    two_q = qnumber(2, q)
-    inv2q2 = (two_q * two_q).inv()
-    ident = _identity_op(dim, table)
-    mid = q ** 2 + q.inv() ** 2
-    plus = (ident.scale(mid) + qop + qinv).scale(inv2q2)
-    minus = (ident.scale(Scalar.from_fraction(table, 2)) - qop - qinv).scale(inv2q2)
-    return plus, minus
+    def apply_p3_plus(self, v: dict) -> dict:
+        """lead (P1 P2 P1 P2 P1 - a P1 P2 P1 + b P1) v, by five mat-vecs."""
+        a, b, lead = self.cubic
+        p1, p2 = self.p2_plus_pos1.apply, self.p2_plus_pos2.apply
+        u1 = p1(v)
+        u3 = p1(p2(u1))
+        u5 = p1(p2(u3))
+        return _vec_scale(_vec_add(_vec_sub(u5, _vec_scale(u3, a)),
+                                   _vec_scale(u1, b)), lead)
 
 
 def build_projectors(hs: HeckeSymmetry) -> ProjectorSet:
-    """Assemble and verify the braided symmetrizers at arity 2 and 3."""
+    """Assemble the braided symmetrizers at arity 2 and 3.
+
+    Their axioms are not re-proved on these operators: they are certified by
+    ``symmetrizer_certificate`` at the symmetry's q.  That transfers because
+    ``hecke.validate`` has certified the braid and Hecke relations of R, so
+    T_i -> R_i and T_i -> R_i^T (the relations are symmetric under reversing
+    words) are algebra homomorphisms from H_3(q), and the Kronecker product
+    is one from their tensor product.  The conjugation operator
+    Q_i = R_i^T (x) R_i^-1 is the image of T_i (x) T_i^-1, so every
+    symmetrizer here is the image of the element certified in
+    H_3(q) (x) H_3(q), and an identity there holds in every image.
+    """
     q = hs.q
-    table = hs.table
     for k in (2, 3):
         if qnumber(k, q).is_zero():
             raise BadDeformationParameter(f"{k}_q = 0; projectors undefined")
-    N = hs.N
-    dim2 = (N ** 2) ** 2
-    dim3 = (N ** 3) ** 2
+    axioms = symmetrizer_certificate(q)
     r_inv = hs.r_inv
-    qop = _conjugation_op(hs.R, r_inv)
-    qinv = _conjugation_op(r_inv, hs.R)
-    p2_plus, p2_minus = _p2_from_q(qop, qinv, q, dim2)
-
+    s2 = _conjugation_op(hs.R, r_inv) + _conjugation_op(r_inv, hs.R)
     r1 = embed_at(hs.R, 1, 3)
     r2 = embed_at(hs.R, 2, 3)
     r1i = embed_at(r_inv, 1, 3)
     r2i = embed_at(r_inv, 2, 3)
-    q1 = _conjugation_op(r1, r1i)
-    q1i = _conjugation_op(r1i, r1)
-    q2 = _conjugation_op(r2, r2i)
-    q2i = _conjugation_op(r2i, r2)
-    p1, _ = _p2_from_q(q1, q1i, q, dim3)
-    p2, _ = _p2_from_q(q2, q2i, q, dim3)
-
-    two_q = qnumber(2, q)
-    three_q = qnumber(3, q)
-    four_q = qnumber(4, q)
-    a_const = (q ** 4 + q ** 2 + 4 + q.inv() ** 2 + q.inv() ** 4) / two_q ** 4
-    b_const = four_q ** 2 / two_q ** 8
-    lead = two_q ** 6 / (three_q ** 2 * 4)
-    p12121 = p1 * p2 * p1 * p2 * p1
-    p121 = p1 * p2 * p1
-    line1 = (p12121 - p121.scale(a_const) + p1.scale(b_const)).scale(lead)
-    p21212 = p2 * p1 * p2 * p1 * p2
-    p212 = p2 * p1 * p2
-    line2 = (p21212 - p212.scale(a_const) + p2.scale(b_const)).scale(lead)
-    if not (line1 - line2).is_zero():
-        raise ProjectorAxiomFailed("the two cubic symmetrizer expressions differ")
-    p3 = line1
-
-    ident2 = _identity_op(dim2, table)
-    if not (p2_plus + p2_minus - ident2).is_zero():
-        raise ProjectorAxiomFailed("P+ + P- != Id at arity 2")
-    for name, p in (("P+(2)", p2_plus), ("P-(2)", p2_minus), ("P+(3)", p3),
-                    ("P+1", p1), ("P+2", p2)):
-        if not (p * p - p).is_zero():
-            raise ProjectorAxiomFailed(f"{name} is not idempotent")
-    if not (p2_plus * p2_minus).is_zero():
-        raise ProjectorAxiomFailed("P+(2) P-(2) != 0")
-    for name, p in (("P+1", p1), ("P+2", p2)):
-        if not (p3 * p - p3).is_zero():
-            raise ProjectorAxiomFailed(f"P+(3) {name} != P+(3) (absorption)")
+    p1 = _sym_plus(_conjugation_op(r1, r1i) + _conjugation_op(r1i, r1), q)
+    p2 = _sym_plus(_conjugation_op(r2, r2i) + _conjugation_op(r2i, r2), q)
 
     xi = q - q.inv()
     ia = r1 * r2 * r1 + r1 + r2
     ib = r1 * r2 + r2 * r1 - (r1 + r2).scale(xi)
     return ProjectorSet(
-        hs=hs, q_op=qop, q_inv=qinv, p2_plus=p2_plus, p2_minus=p2_minus,
-        p2_plus_pos1=p1, p2_plus_pos2=p2, p3_plus=p3,
-        a_const=a_const, b_const=b_const,
+        hs=hs, p2_plus=_sym_plus(s2, q), p2_minus=_sym_minus(s2, q),
+        p2_plus_pos1=p1, p2_plus_pos2=p2, cubic=_cubic_constants(q),
+        axioms=axioms,
         ia_vec=vec_from_structure(ia, hs),
         ib_vec=vec_from_structure(ib, hs),
         basis2=HattedBasis.build(hs, 2),
@@ -305,7 +377,7 @@ def conjecture1_check(k: int, hs: HeckeSymmetry,
         basis = ps.basis2
     else:
         v = trace_vector(3, hs)
-        residual = _vec_sub(ps.p3_plus.apply(v), ps.p2_plus_pos2.apply(v))
+        residual = _vec_sub(ps.apply_p3_plus(v), ps.p2_plus_pos2.apply(v))
         basis = ps.basis3
     vector_equal = not residual
     if vector_equal:

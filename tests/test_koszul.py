@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from braidorbit import koszul
+from braidorbit.cli import main
+from braidorbit.errors import ProjectorAxiomFailed
 from braidorbit.hecke import build_dj_gl, build_flip, build_q_super
 from braidorbit.koszul import (
     HattedBasis,
@@ -10,13 +13,14 @@ from braidorbit.koszul import (
     d_squared_check_r2,
     differential_d1,
     p2_action_identity,
+    symmetrizer_certificate,
     trace_vector,
     vec_from_structure,
 )
-from braidorbit.linalg import embed_at
+from braidorbit.linalg import RowSpace, SparseMat, embed_at
 from braidorbit.orbit import gradient_matrices
 from braidorbit.rea import power_sum_element
-from braidorbit.scalar import EMPTY_TABLE, Scalar, qnumber
+from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable, qnumber
 
 
 def qc(v):
@@ -55,22 +59,100 @@ def test_hatted_basis_matches_index_formula():
     lambda: build_q_super(1, 1, qc("9/7")),
 ])
 def test_projector_axioms(builder):
-    ps = build_projectors(builder())
-    # axioms are verified inside build_projectors; spot-check complementarity
+    # the axioms certified in H_3 (x) H_3, recomputed on the operators built
+    # for a symmetry: an independent check of the homomorphism argument
+    hs = builder()
+    ps = build_projectors(hs)
+    p1, p2 = ps.p2_plus_pos1, ps.p2_plus_pos2
+    a, b, lead = ps.cubic
+    p121 = p1 * p2 * p1
+    p212 = p2 * p1 * p2
+    p3 = (p121 * p2 * p1 - p121.scale(a) + p1.scale(b)).scale(lead)
+    assert p3 == (p212 * p1 * p2 - p212.scale(a) + p2.scale(b)).scale(lead)
+    for p in (ps.p2_plus, ps.p2_minus, p1, p2, p3):
+        assert p * p == p
+    assert p3 * p1 == p3 and p3 * p2 == p3
+    ident = SparseMat.identity(ps.p2_plus.nrows, Scalar.one(hs.table))
+    assert ps.p2_plus + ps.p2_minus == ident
     assert (ps.p2_plus * ps.p2_minus).is_zero()
     assert (ps.p2_minus * ps.p2_plus).is_zero()
+    # the mat-vec chain applies the explicit operator
+    for v in (trace_vector(3, hs), ps.ia_vec, ps.ib_vec):
+        assert ps.apply_p3_plus(v) == p3.apply(v)
+
+
+@pytest.mark.parametrize("q", [qc(1), qc("7/5"),
+                               Scalar.from_symbol(SymbolTable(["q"]), "q")])
+def test_hecke_representation_faithful(q):
+    t1, t2 = koszul._hecke_generators(q)
+    ident = SparseMat.identity(4, Scalar.one(q.table))
+    span = RowSpace()
+    for w in (ident, t1, t2, t1 * t2, t2 * t1, t1 * t2 * t1):
+        span.add({4 * i + j: v for i, r in w.rows.items()
+                  for j, v in r.items()})
+    assert span.rank == 6
+    rows = symmetrizer_certificate(q)
+    assert ("faithful", True) in rows and all(ok for _, ok in rows)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_certificate_fails_on_perturbed_constant(monkeypatch, capsys, which):
+    exact = koszul._cubic_constants
+
+    def perturbed(q):
+        consts = list(exact(q))
+        consts[which] = consts[which] + 1
+        return tuple(consts)
+
+    monkeypatch.setattr(koszul, "_cubic_constants", perturbed)
+    with pytest.raises(ProjectorAxiomFailed):
+        build_projectors(build_dj_gl(2, qc("7/5")))
+    code = main(["koszul", "--builtin", "dj_gl", "--N", "2", "--q", "7/5",
+                 "--check", "projectors"])
+    assert code == 1
+    assert "projector-axioms: PASS" not in capsys.readouterr().out
+
+
+def _t1_twice(t1, t2):
+    # satisfies the Hecke and braid relations but spans only {1, T}: rank 2
+    return t1, t1
+
+
+def _t2_far_entry_two(t1, t2):
+    rows = {i: dict(r) for i, r in t2.rows.items()}
+    rows[3][2] = rows[3][2] * 2
+    return t1, SparseMat(4, 4, rows)
+
+
+def _t1_repeated_eigenvalue(t1, t2):
+    rows = {i: dict(r) for i, r in t1.rows.items()}
+    rows[3][3] = rows[2][2]
+    return SparseMat(4, 4, rows), t2
+
+
+@pytest.mark.parametrize("mutate, axiom", [
+    (_t1_twice, "faithful"),
+    (_t2_far_entry_two, "braid-relation"),
+    (_t1_repeated_eigenvalue, "hecke-relation"),
+])
+def test_certificate_fails_on_perturbed_representation(monkeypatch, mutate,
+                                                       axiom):
+    exact = koszul._hecke_generators
+    monkeypatch.setattr(koszul, "_hecke_generators",
+                        lambda q: mutate(*exact(q)))
+    with pytest.raises(ProjectorAxiomFailed, match=axiom):
+        symmetrizer_certificate(qc("7/5"))
 
 
 def test_flip_projector_halves():
     hs = build_flip(2)
     ps = build_projectors(hs)
     # at q = 1 the conjugation is an involution and P+ = (Id + Q)/2
-    from braidorbit.linalg import SparseMat
-
+    q_op = koszul._conjugation_op(hs.R, hs.r_inv)
     ident = SparseMat.identity(16, Scalar.one(EMPTY_TABLE))
-    assert (ps.q_op * ps.q_op - ident).is_zero()
+    assert (q_op * q_op - ident).is_zero()
     half = Scalar.from_fraction(EMPTY_TABLE, Fraction(1, 2))
-    expect = (ident + ps.q_op).scale(half)
+    expect = (ident + q_op).scale(half)
     assert (ps.p2_plus - expect).is_zero()
 
 
@@ -145,6 +227,19 @@ def test_conjecture1_dj3():
     ok3, rep3 = conjecture1_check(3, hs, ps)
     assert ok2 and ok3
     assert rep3["quotient_zero"]
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: build_dj_gl(4, qc("7/5")),
+    lambda: build_q_super(2, 1, qc("9/7")),
+], ids=["dj_gl(4)", "q_super(2,1)"])
+def test_canonical_form_larger(builder):
+    hs = builder()
+    ps = build_projectors(hs)
+    for k in (2, 3):
+        ok, rep = conjecture1_check(k, hs, ps)
+        assert ok and rep["quotient_zero"], (k, rep)
+    assert all(ok for _, ok in p2_action_identity(hs, ps))
 
 
 def test_p2_action_rows():
