@@ -14,9 +14,10 @@ echelon rows say how each pivot word b x (b in B_{k-1}) rewrites into normal
 words.  Every computation happens inside span(B_{k-1}) (x) V, whose dimension
 grows with dim A_k, never inside the N^k-dimensional word space.
 
-`ideal_span` adds inhomogeneous generators on top of the relations: their
-ideal, modulo the relations, is spanned by the normal forms of u g v with u
-and v normal words, so it too is echelonized among normal words only.
+`ideal_span` adds central inhomogeneous generators, certified so, on top of
+the relations: their ideal modulo the relations is spanned by the normal
+forms of u g with u a normal word, echelonized among normal words only,
+top-degree words first.
 
 Coefficients are anything `RowSpace` reduces over: `Fraction` or `Scalar`.
 Words are tuples of letters 0..letters-1, the same tuples `NCPoly` uses.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .errors import IdentityFailed
 from .linalg import RowSpace
 
 
@@ -124,28 +126,32 @@ class GradedQuotient:
 
 
 def by_degree(terms: dict) -> dict:
-    """Coordinates keyed by (degree, word): lower degrees are smaller columns."""
-    return {(len(w), w): c for w, c in terms.items()}
+    """Coordinates keyed by (-degree, word): higher degrees are smaller
+    columns, so an echelon form pivots on top-degree words."""
+    return {(-len(w), w): c for w, c in terms.items()}
 
 
 def ideal_span(algebra, generators: Iterable[dict], max_degree: int) -> RowSpace:
-    """Echelon form of the two-sided ideal of inhomogeneous `generators`
-    modulo the relations of `algebra`, truncated at `max_degree`.
+    """Echelon form of the two-sided ideal of central inhomogeneous
+    `generators` modulo the relations of `algebra`, truncated at `max_degree`.
 
     `algebra` is a `GradedQuotient` or any straightening with the same
-    `normal_words` and `normal_form`.  The rows are NF(u g v) for normal
-    words u, v, in `by_degree` coordinates: a u or v inside the relation
-    ideal would contribute NF = 0, so the span is the ideal's image.
+    `normal_words` and `normal_form`.  Each generator g is certified central
+    first, NF(x g) = NF(g x) for every letter x, or `IdentityFailed` names g
+    and x.  Then u g v = u v g, so the rows NF(u g) over normal words u span
+    the same truncated ideal as NF(u g v) over u, v: the echelon basis is
+    the same unique one.  Rows are in `by_degree` coordinates; a u inside
+    the relation ideal contributes NF = 0, so the span is the ideal's image.
     """
     nf = algebra.normal_form
+    letters = algebra.normal_words(1)
     space = RowSpace()
-    for g in generators:
+    for i, g in enumerate(generators):
+        for x in letters:
+            if nf({x + w: c for w, c in g.items()}) != nf({w + x: c for w, c in g.items()}):
+                raise IdentityFailed(f"generator {i} does not commute with letter {x[0]}")
         gdeg = max(map(len, g), default=0)
-        for total_pad in range(max_degree - gdeg + 1):
-            for lpad in range(total_pad + 1):
-                right_words = algebra.normal_words(total_pad - lpad)
-                for u in algebra.normal_words(lpad):
-                    ug = nf({u + w: c for w, c in g.items()})
-                    for v in right_words:
-                        space.add(by_degree(nf({w + v: c for w, c in ug.items()})))
+        for pad in range(max_degree - gdeg + 1):
+            for u in algebra.normal_words(pad):
+                space.add(by_degree(nf({u + w: c for w, c in g.items()})))
     return space

@@ -10,16 +10,18 @@ and its complement realizes the 1-form module.
 Idempotency is certified two ways: structurally (the free-algebra Hankel
 identity plus the Cayley-Hamilton recurrence for the higher power sums) and,
 within the degree cap, by entrywise reduction of ebar^2 - ebar against the
-orbit ideal.  That reduction works on normal words of the algebra: the orbit
-ideal modulo the relations is spanned by the normal forms of u g v, with g
-an orbit generator and u, v normal words, and an entry vanishes on the orbit
-when its normal form lies in that span.  The normal form is the graded one
-of the plain algebra, reached through the shift substitution for the
-modified algebra at q != 1, and the super-PBW straightening at q = 1.
+orbit ideal.  That reduction works on normal words of the algebra: the
+orbit generators p_k - c_k are central, certified so, and the orbit ideal
+modulo the relations is spanned by the normal forms of u g, with u a normal
+word; an entry vanishes on the orbit when its normal form lies in that span.
+The normal form is the graded one of the plain algebra, reached through the
+shift substitution for the modified algebra at q != 1, and the super-PBW
+straightening at q = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ from .rea import (
     shift_generators,
     shift_route,
 )
-from .scalar import Scalar, SymbolTable
+from .scalar import Poly, Scalar, SymbolTable, poly_lcm
 from .symfun import (
     EigenvalueProfile,
     ch_coefficients,
@@ -363,13 +365,15 @@ class OrbitIdealReducer:
     """Membership in the degree-truncated orbit ideal.
 
     The orbit ideal is the relation ideal of `rs` plus the two-sided ideal of
-    the inhomogeneous orbit generators.  Its image modulo the relations is
-    spanned by the normal forms NF(u g v) over normal words u, v
-    (`graded.ideal_span`), echelonized once with columns ordered by degree
-    and then by word code; reducing an element's normal form against that
-    unique echelon basis gives canonical residuals.  A modified-mode `rs`
-    shifts generators and elements into the plain algebra (q != 1) or
-    straightens them (q = 1).
+    the inhomogeneous orbit generators, certified central.  Its image modulo
+    the relations is spanned by NF(u g) over normal words u
+    (`graded.ideal_span`), echelonized once with top-degree columns first,
+    so generators pivot on their power-sum parts; reducing against that
+    unique echelon basis gives canonical residuals.  An element is scaled by
+    the lcm d of its coefficients' polynomial denominators first and its
+    residual by 1/d, so the reduction runs on polynomial entries.  A
+    modified-mode `rs` shifts generators and elements into the plain algebra
+    (q != 1) or straightens them (q = 1).
     """
 
     def __init__(self, rs: RelationSpace, extra_generators: Sequence[NCPoly],
@@ -402,10 +406,15 @@ class OrbitIdealReducer:
         if x.max_degree() > self.max_degree:
             raise ResourceLimit(
                 f"element degree {x.max_degree()} above reducer degree {self.max_degree}")
+        dens = {c.den for c in x.terms.values() if not c.is_constant()}
+        if dens:
+            d = Scalar.make(functools.reduce(poly_lcm, dens), Poly.const(self.table, 1))
+            x = x.scale(d)
         if self.shift is not None:
             x = shift_generators(x, self.shift)
         res = self.space.reduce(by_degree(self.quotient.normal_form(x.terms)))
-        return NCPoly(self.N, self.table, {w: c for (_, w), c in res.items()})
+        out = NCPoly(self.N, self.table, {w: c for (_, w), c in res.items()})
+        return out.scale(d.inv()) if dens else out
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +459,24 @@ def _idempotent(hs: HeckeSymmetry, profile: EigenvalueProfile):
     return A, B, H, ebar, e
 
 
-def _idempotency_entries(ebar: list, hs: HeckeSymmetry) -> list:
-    n2 = hs.N * hs.N
-    sq = nc_matmul(ebar, ebar)
-    return [sq[r][c] - ebar[r][c] for r in range(n2) for c in range(n2)]
+def _idempotency_entries(ebar: list, cap: Optional[int]) -> tuple:
+    """(rows of ebar^2, entries of ebar^2 - ebar), formed entry by entry.
+
+    Once an entry's degree is over `cap` or its word space over 10^6, the
+    rest is not formed: the entries are None, the rows those completed.
+    """
+    square, entries = [], []
+    columns = [[[x] for x in col] for col in zip(*ebar)]
+    for row in ebar:
+        sq_row = []
+        for col, e in zip(columns, row):
+            sq_row.append(nc_matmul([row], col)[0][0])
+            entries.append(sq_row[-1] - e)
+            d = entries[-1].max_degree()
+            if (cap is not None and d > cap) or len(row) ** max(d, 2) > 1_000_000:
+                return square, None
+        square.append(sq_row)
+    return square, entries
 
 
 def _orbit_pipeline(hs: HeckeSymmetry, profile: EigenvalueProfile,
@@ -461,8 +484,9 @@ def _orbit_pipeline(hs: HeckeSymmetry, profile: EigenvalueProfile,
     """Shared body of `cotangent` and `nc_orbit`.
 
     Returns (quotient, data, reduction degree or None when the entrywise
-    check was skipped).  The profile picks the route: the plain algebra for
-    h = 0, the shift substitution for q != 1, straightening at q = 1.
+    check was skipped, the rows of ebar^2 formed).  The profile picks the
+    route: the plain algebra for h = 0, the shift substitution for q != 1,
+    straightening at q = 1.
     """
     verdict = regularity(profile)
     if not verdict.regular:
@@ -482,12 +506,10 @@ def _orbit_pipeline(hs: HeckeSymmetry, profile: EigenvalueProfile,
     targets = [power_sum_param(k, profile) for k in range(1, size + 1)]
     gens = [power_sum_element(k, hs) - NCPoly.const(hs.N, hs.table, targets[k - 1])
             for k in range(1, size + 1)]
-    entries = _idempotency_entries(ebar, hs)
-    need = max((x.max_degree() for x in entries), default=0)
-    cap = verify_degree_cap if verify_degree_cap is not None else need
+    square, entries = _idempotency_entries(ebar, verify_degree_cap)
     degree = None
-    if need <= cap and (hs.N * hs.N) ** max(need, 2) <= 1_000_000:
-        degree = max(need, 2)
+    if entries is not None:
+        degree = max(2, max(x.max_degree() for x in entries))
         rs = (relation_space(hs, "mrea", profile.h) if profile.is_mrea
               else relation_space(hs, "minus"))
         reducer = OrbitIdealReducer(rs, gens, degree)
@@ -506,20 +528,20 @@ def _orbit_pipeline(hs: HeckeSymmetry, profile: EigenvalueProfile,
         certificates["structural_only"] = True
     quotient = OrbitQuotient(hs=hs, profile=profile, targets=targets, mode=mode)
     data = CotangentData(A=A, Bmat=B, H=H, ebar=ebar, e=e, certificates=certificates)
-    return quotient, data, degree
+    return quotient, data, degree, square
 
 
 def cotangent(hs: HeckeSymmetry, profile: EigenvalueProfile,
               verify_degree_cap: Optional[int] = None) -> CotangentData:
     """Build and certify the cotangent idempotent over a regular orbit."""
-    _, data, degree = _orbit_pipeline(hs, profile, verify_degree_cap)
+    _, data, degree, square = _orbit_pipeline(hs, profile, verify_degree_cap)
     if degree is not None:
         data.certificates["reduction_degree"] = degree
     # complement: e^2 - e = ebar^2 - ebar identically, checked cheaply
     n2 = hs.N * hs.N
     e, ebar = data.e, data.ebar
     esq = nc_matmul(e, e)
-    ebarsq = nc_matmul(ebar, ebar)
+    ebarsq = square + nc_matmul(ebar[len(square):], ebar)
     data.certificates["complement_idempotent"] = all(
         (esq[r][c] - e[r][c]) == (ebarsq[r][c] - ebar[r][c])
         for r in range(n2) for c in range(n2))
@@ -534,7 +556,7 @@ def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile,
     the symmetry must be a (super-)flip and straightening takes over.  The
     h = 0 case degenerates to the plain pipeline.
     """
-    quotient, data, _ = _orbit_pipeline(hs, profile, verify_degree_cap)
+    quotient, data, _, _ = _orbit_pipeline(hs, profile, verify_degree_cap)
     return quotient, data
 
 

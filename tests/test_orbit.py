@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from braidorbit.errors import ExceptionalProfile, RecurrenceMismatch
+from braidorbit.errors import ExceptionalProfile, IdentityFailed, RecurrenceMismatch
+from braidorbit.graded import by_degree, ideal_span
 from braidorbit.hecke import build_dj_gl, build_flip, build_q_super
-from braidorbit.linalg import det_bareiss
+from braidorbit.linalg import RowSpace, det_bareiss
 from braidorbit.orbit import (
     CotangentData,
     OrbitIdealReducer,
@@ -19,9 +20,15 @@ from braidorbit.orbit import (
     nc_orbit,
     regularity,
 )
-from braidorbit.rea import NCPoly, nc_matmul, power_sum_element, relation_space
+from braidorbit.rea import (
+    NCPoly,
+    nc_matmul,
+    power_sum_element,
+    relation_space,
+    shift_generators,
+)
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable, parse_scalar
-from braidorbit.symfun import EigenvalueProfile, quantum_dims
+from braidorbit.symfun import EigenvalueProfile, power_sum_param, quantum_dims
 
 
 def num_profile(mus, nus, q, h=None, table=EMPTY_TABLE):
@@ -298,6 +305,74 @@ def test_entrywise_certificate_fails_on_perturbed_target(route):
     entries = [sq[r][c] - data.ebar[r][c] for r in range(n2) for c in range(n2)]
     reducer = OrbitIdealReducer(rs, gens, max(max(x.max_degree() for x in entries), 2))
     assert any(not reducer.reduce(x).is_zero() for x in entries)
+
+
+def two_sided_span(algebra, generators, max_degree):
+    """Reference framing of the orbit ideal: NF(u g v) over normal words u, v."""
+    nf = algebra.normal_form
+    space = RowSpace()
+    for g in generators:
+        gdeg = max(map(len, g), default=0)
+        for pad in range(max_degree - gdeg + 1):
+            for lpad in range(pad + 1):
+                for u in algebra.normal_words(lpad):
+                    ug = nf({u + w: c for w, c in g.items()})
+                    for v in algebra.normal_words(pad - lpad):
+                        space.add(by_degree(nf({w + v: c for w, c in ug.items()})))
+    return space
+
+
+def _orbit_reducer(hs, prof, targets, degree=4):
+    gens = [power_sum_element(k, hs) - NCPoly.const(hs.N, hs.table, t)
+            for k, t in enumerate(targets, 1)]
+    rs = relation_space(hs, "mrea", prof.h) if prof.is_mrea else relation_space(hs, "minus")
+    return gens, OrbitIdealReducer(rs, gens, degree)
+
+
+@pytest.mark.parametrize("route", ["plain", "shift", "pbw"])
+def test_one_sided_span_equals_two_sided(route):
+    # the orbit generators are central, so framing them on one side spans
+    # the same truncated ideal, hence the same unique echelon basis
+    hs, prof = _route_inputs(route)
+    gens, reducer = _orbit_reducer(hs, prof, [power_sum_param(k, prof) for k in (1, 2)])
+    if reducer.shift is not None:
+        gens = [shift_generators(g, reducer.shift) for g in gens]
+    reference = two_sided_span(reducer.quotient, [g.terms for g in gens], 4)
+    assert reference.rank == reducer.space.rank > 0
+    assert reference.pivots == reducer.space.pivots
+
+
+def test_ideal_span_refuses_non_central_generator():
+    # l[1,2] - 1 does not commute with the letters of the plain REA
+    hs, _ = _route_inputs("plain")
+    quotient = relation_space(hs, "minus").membership_reducer(2)
+    one = Scalar.one(hs.table)
+    central = power_sum_element(1, hs).terms
+    assert ideal_span(quotient, [central], 2).rank > 0
+    with pytest.raises(IdentityFailed, match="generator 1 does not commute with letter"):
+        ideal_span(quotient, [central, {(1,): one, (): -one}], 2)
+
+
+def test_reduce_residual_invariant_under_scaling():
+    # shift route over Q(h): the residual of a perturbed-target entry is the
+    # one the echelon basis gives without clearing denominators, and scales
+    hs, prof = _route_inputs("shift")
+    quotient, data = nc_orbit(hs, prof)
+    targets = list(quotient.targets)
+    targets[0] = targets[0] - 1
+    _, reducer = _orbit_reducer(hs, prof, targets)
+    sq = nc_matmul(data.ebar, data.ebar)
+    n2 = hs.N * hs.N
+    entries = [sq[r][c] - data.ebar[r][c] for r in range(n2) for c in range(n2)]
+    x = next(x for x in entries if not reducer.reduce(x).is_zero())
+    assert any(not c.is_constant() for c in x.terms.values())
+    res = reducer.reduce(x)
+    raw = reducer.space.reduce(by_degree(reducer.quotient.normal_form(
+        shift_generators(x, reducer.shift).terms)))
+    assert res == NCPoly(hs.N, hs.table, {w: c for (_, w), c in raw.items()})
+    h = Scalar.from_symbol(hs.table, "h")
+    d = (h + 2) / (3 * h - 1)
+    assert reducer.reduce(x.scale(d)) == res.scale(d)
 
 
 def test_hatted_ch_values_match_plain_at_h0():
