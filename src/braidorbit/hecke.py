@@ -376,12 +376,12 @@ class BiRankReport:
     kq_checked: list = field(default_factory=list)  # q-integers required nonzero
 
 
-def _column_relations(op: TensorOp, numeric: bool) -> list:
+def _column_relations(op: TensorOp) -> list:
     """Columns of `op` as quadratic relations {(a, b): coefficient}."""
     N = op.N
     columns = op.mat.transpose().rows
-    return [{divmod(r, N): (v.as_fraction() if numeric else v)
-             for r, v in sorted(columns.get(c, {}).items())} for c in range(op.mat.ncols)]
+    return [{divmod(r, N): v for r, v in sorted(columns.get(c, {}).items())}
+            for c in range(op.mat.ncols)]
 
 
 def _fit_rational(series: Sequence[int], depth: int):
@@ -447,12 +447,10 @@ def birank(hs: HeckeSymmetry, depth: int) -> BiRankReport:
             if qnumber(k, hs.q).is_zero():
                 raise BadDeformationParameter(f"{k}_q vanishes at q = {qv}")
             kq_checked.append(k)
-    numeric = not hs.table.names or all(
-        a.is_constant() for row in hs.R.mat.rows.values() for a in row.values())
     ident = TensorOp.identity(hs.table, hs.N, 2)
     anti_proj = ident.scale(hs.q.inv()) + hs.R      # its image is quotiented for Lambda
     sym_proj = ident.scale(hs.q) - hs.R             # its image is quotiented for Sym
-    minus, plus = (GradedQuotient(hs.N, _column_relations(proj, numeric)).dims(depth)
+    minus, plus = (GradedQuotient(hs.N, _column_relations(proj)).dims(depth)
                    for proj in (anti_proj, sym_proj))
     fit = _fit_rational(minus, depth)
     fit_prev = _fit_rational(minus, depth - 1)

@@ -95,18 +95,7 @@ class NCPoly:
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, (Scalar, int, Fraction)):
             return self.scale(other)
-        out: dict = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa + wb
-                c = ca * cb
-                s = out.get(w)
-                val = c if s is None else s + c
-                if val:
-                    out[w] = val
-                elif s is not None:
-                    del out[w]
-        return NCPoly(self.N, self.table, out)
+        return NCPoly(self.N, self.table, _add_product({}, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -166,32 +155,35 @@ def generating_matrix(N: int, table: SymbolTable) -> list:
     return [[NCPoly.generator(N, table, i, j) for j in range(N)] for i in range(N)]
 
 
+def _add_product(out: dict, a: dict, b: dict) -> dict:
+    """Add the product of the word combinations a and b into out; no zero is kept."""
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = wa + wb
+            c = ca * cb
+            s = out.get(w)
+            val = c if s is None else s + c
+            if val:
+                out[w] = val
+            elif s is not None:
+                del out[w]
+    return out
+
+
 def nc_matmul(A: Sequence, B: Sequence) -> list:
-    n = len(A)
-    k = len(B)
-    m = len(B[0])
-    zero = None
-    for row in list(A) + list(B):
-        for x in row:
-            if isinstance(x, NCPoly):
-                zero = NCPoly.zero(x.N, x.table)
-                break
-        if zero is not None:
-            break
+    """A*B for NCPoly matrices, visiting only nonzero entries of A and B and
+    accumulating each output entry in one dict."""
+    N, table = B[0][0].N, B[0][0].table
+    brows = [[(j, b.terms) for j, b in enumerate(row) if b] for row in B]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                a = A[i][t]
-                b = B[t][j]
-                if not a or not b:
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else zero)
-        out.append(row)
+    for arow in A:
+        acc: dict = {}
+        for a, brow in zip(arow, brows):
+            if not a:
+                continue
+            for j, bterms in brow:
+                _add_product(acc.setdefault(j, {}), a.terms, bterms)
+        out.append([NCPoly(N, table, acc.get(j, {})) for j in range(len(B[0]))])
     return out
 
 

@@ -6,13 +6,15 @@ pinned down once and used everywhere:
 
 * monomials are compared by total degree, ties broken lexicographically in
   the symbol-table order (grlex);
-* a ``Scalar`` has two representations.  A constant carries its value as a
-  single ``Fraction`` and no polynomials, so numeric-q pipelines never enter
-  the polynomial code; its ``num``/``den`` are built only when read.  Any
-  other value stores a coprime numerator/denominator ``Poly`` pair, the
+* a ``Scalar`` has two representations.  A constant carries its value as
+  two coprime ints, numerator and positive denominator, and no polynomials,
+  so numeric-q pipelines never enter the polynomial code; its arithmetic is
+  the cross-gcd integer arithmetic of CPython's ``fractions``, without a
+  ``Fraction`` object, and a ``Fraction`` is built only when one is read
+  (``const_or_none``, ``as_fraction``) or meets a ``Poly``.  Any other
+  value stores a coprime numerator/denominator ``Poly`` pair, the
   denominator normalized to leading coefficient 1 under that order.  The
-  invariant is: a ``Scalar`` is constant exactly when it carries a
-  ``Fraction``.
+  invariant is: a ``Scalar`` is constant exactly when it carries the ints.
 
 ``Poly`` holds ``Fraction`` coefficients, but exact division and the gcd
 run in an integer kernel: each input is cleared once to an integral
@@ -33,6 +35,7 @@ large intermediates.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
@@ -729,15 +732,15 @@ def poly_lcm(f: Poly, g: Poly) -> Poly:
 class Scalar:
     """Element of the fraction field of Q[symbols], kept in canonical form.
 
-    A constant carries its value as one ``Fraction`` and no polynomials; its
-    ``num``/``den`` are built only when read.  Any other value carries a
-    coprime ``Poly`` pair whose denominator is monic under the grlex order.
-    Every constructor returns this form, so a value is constant exactly when
-    it carries a ``Fraction``, and equality is syntactic and agrees with
-    cross-multiplication.
+    A constant carries its value as two coprime ints, ``_n`` and ``_d > 0``,
+    and no polynomials; its ``num``/``den`` are built only when read.  Any
+    other value carries a coprime ``Poly`` pair whose denominator is monic
+    under the grlex order, and ``_n`` and ``_d`` are None.  Every constructor
+    returns this form, so a value is constant exactly when ``_d`` is set, and
+    equality is syntactic and agrees with cross-multiplication.
     """
 
-    __slots__ = ("table", "_c", "_num", "_den")
+    __slots__ = ("table", "_n", "_d", "_num", "_den")
 
     def __init__(self, *args, **kwargs):
         raise ValueError("use Scalar.make / Scalar.from_*")
@@ -765,13 +768,14 @@ class Scalar:
                 raise DivisionByZero("zero denominator")
             nc = num.const_or_none()
             if nc is not None:
-                return _const(table, nc / dc)
+                v = nc / dc
+                return _const(table, v.numerator, v.denominator)
             if dc != 1:
                 num = num.scale(1 / dc)
                 den = Poly.const(table, 1)
             return _ratio(num, den)
         if num.is_zero():
-            return _const(table, _ZERO)
+            return _const(table, 0, 1)
         lead = den.leading()[1]
         if lead != 1:
             num = num.scale(1 / lead)
@@ -780,7 +784,9 @@ class Scalar:
 
     @staticmethod
     def from_fraction(table: SymbolTable, value) -> "Scalar":
-        return _const(table, Fraction(value))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _const(table, value.numerator, value.denominator)
 
     @staticmethod
     def from_symbol(table: SymbolTable, name: str) -> "Scalar":
@@ -788,19 +794,19 @@ class Scalar:
 
     @staticmethod
     def zero(table: SymbolTable) -> "Scalar":
-        return _const(table, _ZERO)
+        return _const(table, 0, 1)
 
     @staticmethod
     def one(table: SymbolTable) -> "Scalar":
-        return _const(table, _ONE)
+        return _const(table, 1, 1)
 
     def lift(self, table: SymbolTable) -> "Scalar":
         if table == self.table:
             return self
-        if self._c is not None:
+        if self._d is not None:
             for name in self.table.names:
                 table.index(name)  # UnboundSymbol, as for a polynomial
-            return _const(table, self._c)
+            return _const(table, self._n, self._d)
         return _ratio(self._num.lift(table), self._den.lift(table))
 
     # -- properties -----------------------------------------------------
@@ -810,7 +816,7 @@ class Scalar:
         try:
             return self._num
         except AttributeError:
-            self._num = Poly.const(self.table, self._c)
+            self._num = Poly.const(self.table, Fraction(self._n, self._d))
             return self._num
 
     @property
@@ -822,26 +828,24 @@ class Scalar:
             return self._den
 
     def is_zero(self) -> bool:
-        c = self._c
-        return c is not None and not c
+        return self._n == 0
 
     def is_one(self) -> bool:
-        return self._c == 1
+        return self._n == 1 and self._d == 1
 
     def __bool__(self) -> bool:
-        c = self._c
-        return c is None or c != 0
+        return self._n != 0
 
     def is_constant(self) -> bool:
-        return self._c is not None
+        return self._d is not None
 
     def as_fraction(self) -> Fraction:
-        if self._c is None:
+        if self._d is None:
             raise ValueError("polynomial is not constant")
-        return self._c
+        return Fraction(self._n, self._d)
 
     def const_or_none(self) -> Optional[Fraction]:
-        return self._c
+        return None if self._d is None else Fraction(self._n, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -852,18 +856,18 @@ class Scalar:
             b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-        ac, bc = self._c, b._c
-        if ac is not None:
-            if bc is not None:
-                return _const(self.table, ac + bc)
-            if not ac:
+        da, db = self._d, b._d
+        if da is not None:
+            if db is not None:
+                return _const_sum(self.table, self._n, da, b._n, db)
+            if not self._n:
                 return b
             # n/d + c = (n + c d)/d stays coprime with the same monic d
-            return _ratio(b._num + b._den.scale(ac), b._den)
-        if bc is not None:
-            if not bc:
+            return _ratio(b._num + b._den.scale(Fraction(self._n, da)), b._den)
+        if db is not None:
+            if not b._n:
                 return self
-            return _ratio(self._num + self._den.scale(bc), self._den)
+            return _ratio(self._num + self._den.scale(Fraction(b._n, db)), self._den)
         an, ad, bn, bd = self._num, self._den, b._num, b._den
         if ad == bd:
             return Scalar.make(an + bn, ad)
@@ -879,8 +883,8 @@ class Scalar:
         return self.__add__(other)
 
     def __neg__(self) -> "Scalar":
-        if self._c is not None:
-            return _const(self.table, -self._c)
+        if self._d is not None:
+            return _const(self.table, -self._n, self._d)
         return _ratio(-self._num, self._den)
 
     def __sub__(self, other) -> "Scalar":
@@ -890,8 +894,8 @@ class Scalar:
             b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-        if self._c is not None and b._c is not None:
-            return _const(self.table, self._c - b._c)
+        if self._d is not None and b._d is not None:
+            return _const_sum(self.table, self._n, self._d, -b._n, b._d)
         return self + (-b)
 
     def __rsub__(self, other):
@@ -907,17 +911,17 @@ class Scalar:
             b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-        ac, bc = self._c, b._c
-        if ac is not None:
-            if bc is not None:
-                return _const(self.table, ac * bc)
-            if not ac:
+        da, db = self._d, b._d
+        if da is not None:
+            if db is not None:
+                return _const_product(self.table, self._n, da, b._n, db)
+            if not self._n:
                 return self
-            return _ratio(b._num.scale(ac), b._den)
-        if bc is not None:
-            if not bc:
+            return _ratio(b._num.scale(Fraction(self._n, da)), b._den)
+        if db is not None:
+            if not b._n:
                 return b
-            return _ratio(self._num.scale(bc), self._den)
+            return _ratio(self._num.scale(Fraction(b._n, db)), self._den)
         an, ad, bn, bd = self._num, self._den, b._num, b._den
         g1 = poly_gcd(an, bd)
         g2 = poly_gcd(bn, ad)
@@ -933,11 +937,12 @@ class Scalar:
         return self.__mul__(other)
 
     def inv(self) -> "Scalar":
-        c = self._c
-        if c is not None:
-            if not c:
+        d = self._d
+        if d is not None:
+            n = self._n
+            if not n:
                 raise DivisionByZero("inverse of zero")
-            return _const(self.table, 1 / c)
+            return _const(self.table, d, n) if n > 0 else _const(self.table, -d, -n)
         return Scalar._from_coprime(self._den, self._num)
 
     def __truediv__(self, other) -> "Scalar":
@@ -946,8 +951,11 @@ class Scalar:
             return NotImplemented
         if b.is_zero():
             raise DivisionByZero("division by zero Scalar")
-        if self._c is not None and b._c is not None:
-            return _const(self.table, self._c / b._c)
+        if self._d is not None and b._d is not None:
+            nb, db = b._n, b._d
+            if nb < 0:
+                nb, db = -nb, -db
+            return _const_product(self.table, self._n, self._d, db, nb)
         return self * b.inv()
 
     def __rtruediv__(self, other):
@@ -961,8 +969,8 @@ class Scalar:
             return Scalar.one(self.table)
         if n < 0:
             return self.inv() ** (-n)
-        if self._c is not None:
-            return _const(self.table, self._c ** n)
+        if self._d is not None:
+            return _const(self.table, self._n ** n, self._d ** n)
         return _ratio(self._num ** n, self._den ** n)
 
     def _coerce(self, other):
@@ -971,43 +979,45 @@ class Scalar:
                 raise ValueError("symbol tables differ")
             return other
         if isinstance(other, (int, Fraction)):
-            return _const(self.table, Fraction(other))
+            return _const(self.table, other.numerator, other.denominator)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
             if self.table != other.table:
                 return False
-            ac, bc = self._c, other._c
-            if ac is None and bc is None:
+            if self._d is None and other._d is None:
                 return self._num == other._num and self._den == other._den
-            return ac is not None and bc is not None and ac == bc
+            return self._n == other._n and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self._c is not None and self._c == other
+            return self._n == other.numerator and self._d == other.denominator
         return False
 
     def __hash__(self) -> int:
-        c = self._c
-        if c is None:
+        d = self._d
+        if d is None:
             return hash((self._num, self._den))
-        # the hash of the (Poly.const(c), Poly.const(1)) pair, without the Polys
+        # the hash of the (Poly.const(c), Poly.const(1)) pair, without the
+        # Polys or c: an int h with hash(h) == hash(c) stands in for c
+        n = self._n
+        h = n if d == 1 else _rational_hash(n, d)
         table = self.table
         unit = (0,) * len(table)
-        num_terms = frozenset({(unit, c)} if c else ())
-        return hash(((table, num_terms), (table, frozenset({(unit, _ONE)}))))
+        num_terms = frozenset({(unit, h)} if n else ())
+        return hash(((table, num_terms), (table, frozenset({(unit, 1)}))))
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, bindings: Mapping[str, Fraction]) -> Fraction:
-        if self._c is not None:
-            return self._c
+        if self._d is not None:
+            return Fraction(self._n, self._d)
         dv = self._den.evaluate(bindings)
         if not dv:
             raise PoleAtPoint(f"denominator vanishes at {dict(bindings)!r}")
         return self._num.evaluate(bindings) / dv
 
     def substitute(self, bindings: Mapping[str, Fraction]) -> "Scalar":
-        if self._c is not None:
+        if self._d is not None:
             for name in bindings:
                 self.table.index(name)  # UnboundSymbol, as for a polynomial
             return self
@@ -1019,8 +1029,8 @@ class Scalar:
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self._c is not None:
-            return str(self._c)
+        if self._d is not None:
+            return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
         if self._den.is_constant():
             return str(self._num)
         ns = str(self._num)
@@ -1035,11 +1045,12 @@ class Scalar:
 _new_object = object.__new__
 
 
-def _const(table: SymbolTable, c: Fraction) -> Scalar:
-    """The constant form: the table and one Fraction, no polynomials."""
+def _const(table: SymbolTable, n: int, d: int) -> Scalar:
+    """The constant form n/d, from coprime ints with d > 0: no polynomials."""
     s = _new_object(Scalar)
     s.table = table
-    s._c = c
+    s._n = n
+    s._d = d
     return s
 
 
@@ -1047,10 +1058,45 @@ def _ratio(num: Poly, den: Poly) -> Scalar:
     """The polynomial form of a non-constant value, from a canonical pair."""
     s = _new_object(Scalar)
     s.table = num.table
-    s._c = None
+    s._n = s._d = None
     s._num = num
     s._den = den
     return s
+
+
+# The constant kernel: CPython's fractions._add/_mul on coprime int pairs.
+# The cross gcds leave the result reduced, so no further gcd is taken.
+
+def _const_sum(table: SymbolTable, na: int, da: int, nb: int, db: int) -> Scalar:
+    g = int_gcd(da, db)
+    if g == 1:
+        return _const(table, na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = int_gcd(t, g)
+    if g2 == 1:
+        return _const(table, t, s * db)
+    return _const(table, t // g2, s * (db // g2))
+
+
+def _const_product(table: SymbolTable, na: int, da: int, nb: int, db: int) -> Scalar:
+    g1 = int_gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = int_gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _const(table, na * nb, da * db)
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for coprime n and d > 1: Python's numeric hash."""
+    P = sys.hash_info.modulus
+    h = hash(hash(abs(n)) * pow(d, -1, P)) if d % P else sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 # ---------------------------------------------------------------------------
@@ -1120,13 +1166,14 @@ class FactoredRational:
     def __init__(self, num: Poly, factors: Optional[Mapping[Poly, int]] = None):
         self.num = num
         self.factors = dict(factors) if factors else {}
-        self._reduce()
+        self._reduce(list(self.factors))
 
-    def _reduce(self) -> None:
+    def _reduce(self, trial: Sequence[Poly]) -> None:
+        """Divide each factor in `trial` out of the numerator while it divides."""
         if self.num.is_zero():
             self.factors = {}
             return
-        for f in list(self.factors):
+        for f in trial:
             mult = self.factors[f]
             while mult > 0:
                 q = poly_div_exact(self.num, f)
@@ -1138,6 +1185,15 @@ class FactoredRational:
                 self.factors[f] = mult
             else:
                 del self.factors[f]
+
+    @staticmethod
+    def _reduced(num: Poly, factors: dict, trial: Sequence[Poly]) -> "FactoredRational":
+        """num / factors, where only the factors in `trial` can divide num."""
+        out = FactoredRational.__new__(FactoredRational)
+        out.num = num
+        out.factors = factors
+        out._reduce(trial)
+        return out
 
     @staticmethod
     def from_poly(p: Poly) -> "FactoredRational":
@@ -1154,7 +1210,11 @@ class FactoredRational:
         factors = dict(self.factors)
         for f, e in other.factors.items():
             factors[f] = factors.get(f, 0) + e
-        return FactoredRational(self.num * other.num, factors)
+        # a factor of both operands divides neither numerator, so, being
+        # irreducible, not their product
+        return FactoredRational._reduced(
+            self.num * other.num, factors,
+            [f for f in factors if (f in self.factors) != (f in other.factors)])
 
     def mul_poly(self, p: Poly) -> "FactoredRational":
         return FactoredRational(self.num * p, self.factors)
@@ -1162,18 +1222,21 @@ class FactoredRational:
     def div_factor(self, f: Poly, mult: int = 1) -> "FactoredRational":
         factors = dict(self.factors)
         factors[f] = factors.get(f, 0) + mult
-        return FactoredRational(self.num, factors)
+        return FactoredRational._reduced(self.num, factors, [] if f in self.factors else [f])
 
     def scale(self, c) -> "FactoredRational":
-        out = FactoredRational.__new__(FactoredRational)
-        out.num = self.num.scale(c)
-        out.factors = dict(self.factors) if not out.num.is_zero() else {}
-        return out
+        return FactoredRational._reduced(self.num.scale(c), dict(self.factors), [])
 
     def __neg__(self) -> "FactoredRational":
         return self.scale(-1)
 
     def __add__(self, other: "FactoredRational") -> "FactoredRational":
+        """The sum over the lcm of the denominators; only factors with the same
+        exponent in both operands are trial-divided.  Any other factor f is
+        multiplied into one numerator only, and the other numerator is
+        reduced against f and multiplied only by irreducible factors not
+        associate to f; so f divides one summand but not the sum.
+        """
         target: dict = dict(self.factors)
         for f, e in other.factors.items():
             if target.get(f, 0) < e:
@@ -1188,7 +1251,9 @@ class FactoredRational:
             need = e - other.factors.get(f, 0)
             for _ in range(need):
                 b_num = b_num * f
-        return FactoredRational(a_num + b_num, target)
+        return FactoredRational._reduced(
+            a_num + b_num, target,
+            [f for f in target if self.factors.get(f) == other.factors.get(f)])
 
     def __sub__(self, other: "FactoredRational") -> "FactoredRational":
         return self + (-other)

@@ -29,6 +29,38 @@ def qc(v):
     return Scalar.from_fraction(EMPTY_TABLE, Fraction(v))
 
 
+def test_nc_matmul_matches_entrywise_sums():
+    """The sparse product equals sum_t A[i][t]*B[t][j] formed with NCPoly * and +."""
+    rng = random.Random(5)
+    table = SymbolTable(["q"])
+    N = 2
+    L = generating_matrix(N, table)
+    words = [NCPoly.one(N, table)] + [L[i][j] for i in range(N) for j in range(N)]
+    words.append(L[0][1] * L[1][0])
+    coeffs = [parse_scalar(c, table) for c in ("1", "-1", "2/3", "q", "-q + 1/2")]
+
+    def entry():
+        out = NCPoly.zero(N, table)
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            out = out + rng.choice(words).scale(rng.choice(coeffs))
+        return out
+
+    A = [[entry() for _ in range(4)] for _ in range(3)]
+    B = [[entry() for _ in range(2)] for _ in range(4)]
+    # one entry whose summands cancel
+    A[0][0] = A[0][1] = L[0][1]
+    B[0][0], B[1][0] = L[1][1], -L[1][1]
+    A[0][2] = A[0][3] = NCPoly.zero(N, table)
+    got = nc_matmul(A, B)
+    assert got[0][0].is_zero()
+    for i in range(3):
+        for j in range(2):
+            ref = NCPoly.zero(N, table)
+            for t in range(4):
+                ref = ref + A[i][t] * B[t][j]
+            assert got[i][j] == ref and str(got[i][j]) == str(ref)
+
+
 def test_relation_dims_flip2():
     hs = build_flip(2)
     assert relation_space(hs, "minus").dim == 6   # commutators of gl(2)

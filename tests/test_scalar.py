@@ -299,6 +299,46 @@ def test_factored_rational_matches_scalar():
         or prod.to_scalar() == parse_scalar("x^2", t) / parse_scalar("(x-y)^2", t)
 
 
+def test_factored_rational_random_against_scalar():
+    """Sums, products and new factors stay reduced and equal the Scalar result,
+    also when only some factors are trial-divided."""
+    rng = random.Random(12)
+    t = SymbolTable(["x", "y"])
+    x = Poly.symbol(t, "x")
+    y = Poly.symbol(t, "y")
+    one = Poly.const(t, 1)
+    irreducible = [x - y, x + y.scale(2), x, y + one, x * y + one]
+
+    def random_fr():
+        num = Poly.const(t, rng.randint(-3, 3)) + x.scale(rng.randint(-2, 2)) + y
+        for f in rng.sample(irreducible, rng.randint(0, 2)):
+            num = num * f
+        exps = {f: rng.randint(1, 2) for f in rng.sample(irreducible, rng.randint(0, 3))}
+        return FactoredRational(num, exps)
+
+    def check(fr, ref):
+        assert fr.to_scalar() == ref
+        for f in fr.factors:
+            assert poly_div_exact(fr.num, f) is None
+
+    values = [random_fr() for _ in range(12)]
+    for a in values:
+        check(a, a.to_scalar())
+        for f in irreducible[:3]:
+            check(a.div_factor(f, 2), a.to_scalar() / Scalar.make(f * f, one))
+        check(a.mul_poly(irreducible[0] * irreducible[3]),
+              a.to_scalar() * Scalar.make(irreducible[0] * irreducible[3], one))
+        for f in a.factors:
+            # same denominator, and f divides the sum of the numerators
+            c = FactoredRational(f * (x + one) - a.num, a.factors)
+            check(a + c, a.to_scalar() + c.to_scalar())
+        for b in values:
+            sa, sb = a.to_scalar(), b.to_scalar()
+            check(a + b, sa + sb)
+            check(a - b, sa - sb)
+            check(a * b, sa * sb)
+
+
 def test_parser_round_trip_and_errors():
     text = "(3/2*q^2 - 1)/(q + 2)"
     v = sc(text)
@@ -397,6 +437,66 @@ def test_constant_representation_parity():
     assert Scalar.one(QMU) != Scalar.one(other)
     with pytest.raises(ValueError, match="not constant"):
         parse_scalar("q/mu1", QMU).as_fraction()
+
+
+def test_constant_int_pair_arithmetic():
+    """Constant arithmetic on the coprime int pair agrees with Fraction."""
+    rng = random.Random(21)
+    big = 2 ** 64
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7), Fraction(-12),
+              Fraction(3, -4), Fraction(-5, -6), Fraction(big + 1, 3),
+              Fraction(-(3 * big + 7), big + 1), Fraction(big * big)]
+    values += [Fraction(rng.randint(-big * big, big * big), rng.randint(1, big))
+               for _ in range(3)]
+    values += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+    unit = Poly.const(QMU, 1)
+
+    def forms(v):
+        # negative denominators given to from_fraction and to the parser
+        n, d = v.numerator, v.denominator
+        out = [Scalar.from_fraction(QMU, Fraction(-n, -d)),
+               parse_scalar(f"{-n}/(-{d})", QMU)]
+        if d == 1:
+            out.append(Scalar.from_fraction(QMU, n))
+        return out
+
+    def agrees(s, f):
+        assert s.is_constant()
+        assert s.as_fraction() == f and type(s.as_fraction()) is Fraction
+        assert s.const_or_none() == f and type(s.const_or_none()) is Fraction
+        assert s == f and s == Scalar.from_fraction(QMU, f)
+        assert (s == f.numerator) == (f.denominator == 1)
+        assert s != f + 1 and s != Scalar.from_symbol(QMU, "q")
+        assert str(s) == str(f)
+        # the hash of the (Poly.const(c), Poly.const(1)) pair
+        assert hash(s) == hash((Poly.const(QMU, f), unit))
+        assert bool(s) == bool(f) and s.is_zero() == (f == 0) and s.is_one() == (f == 1)
+
+    for v in values:
+        for x in forms(v):
+            agrees(x, v)
+            agrees(-x, -v)
+            for k in (0, 1, 2, 3):
+                agrees(x ** k, v ** k)
+            if v:
+                agrees(x.inv(), 1 / v)
+                agrees(x ** -3, v ** -3)
+                agrees(1 / x, 1 / v)
+            else:
+                with pytest.raises(DivisionByZero):
+                    x.inv()
+            agrees(x + 3, v + 3)
+            agrees(Fraction(2, 7) - x, Fraction(2, 7) - v)
+            agrees(x * -5, v * -5)
+        x = forms(v)[0]
+        for w in values:
+            y = forms(w)[-1]
+            agrees(x + y, v + w)
+            agrees(x - y, v - w)
+            agrees(x * y, v * w)
+            if w:
+                agrees(x / y, v / w)
+            assert (x == y) == (v == w)
 
 
 def test_numeric_q_pipeline_builds_no_poly(monkeypatch):
