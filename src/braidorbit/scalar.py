@@ -16,9 +16,13 @@ pinned down once and used everywhere:
   denominator normalized to leading coefficient 1 under that order.  The
   invariant is: a ``Scalar`` is constant exactly when it carries the ints.
 
-``Poly`` holds ``Fraction`` coefficients, but exact division and the gcd
-run in an integer kernel: each input is cleared once to an integral
-polynomial, {exponent tuple: int}, and the result converted back once.
+``Poly`` holds ``Fraction`` coefficients, but products, powers, exact
+division and the gcd run in an integer kernel: a ``Poly`` is cleared once
+to an integral polynomial, {exponent tuple: int}, over a common
+denominator; that form is cached on the ``Poly``, and each result is
+converted back to ``Fraction``s once.  Products and powers pack each
+monomial into one int in a base above every exponent of the result, so a
+product monomial is a sum of two keys and no term pair builds a tuple.
 Exact division is one grlex pass over a max-heap of packed monomials, so
 the remainder is never rescanned; by Gauss's lemma a primitive divisor
 divides exactly when the quotient is integral, so the first leading
@@ -38,6 +42,7 @@ import re
 import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd as int_gcd
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
@@ -124,15 +129,17 @@ class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
     Immutable; ``terms`` maps exponent tuples (one entry per table symbol)
-    to nonzero ``Fraction`` coefficients.
+    to nonzero ``Fraction`` coefficients.  ``_zform`` caches the cleared
+    form (P, d) of ``_int_form`` once the integer kernel has needed it.
     """
 
-    __slots__ = ("table", "terms", "_hash")
+    __slots__ = ("table", "terms", "_hash", "_zform")
 
     def __init__(self, table: SymbolTable, terms: Mapping[tuple, Fraction]):
         self.table = table
         self.terms = {e: c for e, c in terms.items() if c}
         self._hash = None
+        self._zform = None
 
     # -- constructors --------------------------------------------------
 
@@ -249,26 +256,13 @@ class Poly:
         return Poly(self.table, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """(P/d)(Q/e) = PQ/(de), with the product PQ taken in the integer kernel."""
         self._check(other)
         if not self.terms or not other.terms:
             return Poly(self.table, {})
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            ((ea, ca),) = a.items()
-            if not any(ea):
-                return Poly(self.table, {e: c * ca for e, c in b.items()})
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, _ZERO) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly(self.table, out)
+        P, d = _int_form(self)
+        Q, e = _int_form(other)
+        return _from_int(self.table, _zmul(P, Q), d * e)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -277,17 +271,13 @@ class Poly:
         return Poly(self.table, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
+        """(P/d)^n = P^n/d^n, with the power taken in the integer kernel."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.table, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if not self.terms:
+            return Poly.const(self.table, 1) if n == 0 else self
+        P, d = _int_form(self)
+        return _from_int(self.table, _zpow(P, n), d ** n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.table == other.table and self.terms == other.terms
@@ -370,23 +360,48 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# exact division and gcd: the integer kernel
+# the integer kernel: products, powers, exact division and the gcd
 # ---------------------------------------------------------------------------
 #
 # The kernel works on integer polynomials, dicts {exponent tuple: int}.  A
-# Poly enters it once through _int_form and leaves it once, as Fractions.
+# Poly enters it through _int_form, which clears it once and caches the
+# result on the Poly, and leaves it once, as Fractions, through _from_int.
+# No kernel function mutates a dict it receives: cached forms are shared.
 
 
 def _int_form(p: Poly) -> tuple[dict, int]:
     """(P, d) with p = P/d, P integral and d the lcm of p's denominators."""
-    d = 1
-    for c in p.terms.values():
-        cd = c.denominator
-        if cd != 1:
-            d = d * cd // int_gcd(d, cd)
+    form = p._zform
+    if form is None:
+        d = 1
+        for c in p.terms.values():
+            cd = c.denominator
+            if cd != 1:
+                d = d * cd // int_gcd(d, cd)
+        if d == 1:
+            form = {e: c.numerator for e, c in p.terms.items()}, 1
+        else:
+            form = {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
+        p._zform = form
+    return form
+
+
+def _from_int(table: SymbolTable, P: dict, d: int) -> Poly:
+    """The Poly P/d (P integral without zero terms, d > 0), its cleared form cached.
+
+    The lcm of the denominators of c/d over P's coefficients c is d/g, with
+    g = gcd(d, content of P), so (P/g, d/g) is the form _int_form would give.
+    """
     if d == 1:
-        return {e: c.numerator for e, c in p.terms.items()}, 1
-    return {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
+        p = Poly(table, {e: Fraction(c) for e, c in P.items()})
+    else:
+        g = int_gcd(d, *P.values())
+        if g != 1:
+            P = {e: c // g for e, c in P.items()}
+            d //= g
+        p = Poly(table, {e: Fraction(c, d) for e, c in P.items()})
+    p._zform = (P, d)
+    return p
 
 
 def _zcontent(P: dict) -> int:
@@ -410,19 +425,54 @@ def _zis_const(P: dict) -> bool:
     return len(P) == 1 and not any(next(iter(P)))
 
 
+def _pack(P: dict, base: int) -> dict:
+    """P with each exponent tuple e packed into sum(e_i * base^(width-1-i))."""
+    width = len(next(iter(P)))
+    w = [base ** i for i in range(width - 1, -1, -1)]
+    return {sum(map(mul, e, w)): c for e, c in P.items()}
+
+
+def _unpack(K: dict, base: int, width: int) -> dict:
+    """K with each packed key unpacked into its exponent tuple."""
+    out = {}
+    digits = range(width - 1, -1, -1)
+    for k, c in K.items():
+        e = [0] * width
+        for i in digits:
+            k, e[i] = divmod(k, base)
+        out[tuple(e)] = c
+    return out
+
+
+def _kmul(a: dict, b: dict) -> dict:
+    """Product of packed polynomials, without the terms that cancel."""
+    out: dict = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
 def _zmul(a: dict, b: dict) -> dict:
+    """a*b on packed monomials.
+
+    With base B = (max exponent of a) + (max exponent of b) + 1 no exponent
+    of a product monomial reaches B, so packing has no carries and the
+    product of two monomials is the sum of their keys; only the terms that
+    do not cancel are unpacked.  A monomial factor just shifts the other
+    operand's exponents.
+    """
     if len(a) > len(b):
         a, b = b, a
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-    return out
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        if not any(ea):
+            return {e: ca * c for e, c in b.items()}
+        return {tuple(map(add, ea, e)): ca * c for e, c in b.items()}
+    base = max(chain.from_iterable(a)) + max(chain.from_iterable(b)) + 1
+    return _unpack(_kmul(_pack(a, base), _pack(b, base)), base, len(next(iter(a))))
 
 
 def _zsub(a: dict, b: dict) -> dict:
@@ -441,14 +491,26 @@ def _zneg(a: dict) -> dict:
 
 
 def _zpow(a: dict, n: int) -> dict:
-    result = _zone(a)
-    while n:
+    """a^n by repeated squaring on packed monomials, packed and unpacked once.
+
+    With base B = n * (max exponent of a) + 1 no exponent of any partial
+    product reaches B.  A monomial's exponents are just scaled.
+    """
+    if n == 0:
+        return _zone(a)
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        return {tuple(x * n for x in e): c ** n}
+    base = n * max(chain.from_iterable(a)) + 1
+    x = _pack(a, base)
+    result = None
+    while True:
         if n & 1:
-            result = _zmul(result, a)
+            result = x if result is None else _kmul(result, x)
         n >>= 1
-        if n:
-            a = _zmul(a, a)
-    return result
+        if not n:
+            return _unpack(result, base, len(next(iter(a))))
+        x = _kmul(x, x)
 
 
 def _zdiv(F: dict, G: dict) -> Optional[dict]:
@@ -548,10 +610,9 @@ def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
     if quot is None:
         return None
     # f/g = (F/G) * dg / (d * cg)
-    s = Fraction(dg, d * cg)
-    if s == 1:
-        return Poly(f.table, {e: Fraction(c) for e, c in quot.items()})
-    return Poly(f.table, {e: c * s for e, c in quot.items()})
+    if dg != 1:
+        quot = {e: c * dg for e, c in quot.items()}
+    return _from_int(f.table, quot, d * cg)
 
 
 def poly_divisible(f: Poly, g: Poly) -> bool:
@@ -564,7 +625,7 @@ def _int_content_normalized(p: Poly) -> tuple[Poly, Fraction]:
         return p, _ZERO
     P, d = _int_form(p)
     g = _zcontent(P)
-    return Poly(p.table, {e: Fraction(c // g) for e, c in P.items()}), Fraction(g, d)
+    return _from_int(p.table, {e: c // g for e, c in P.items()}, 1), Fraction(g, d)
 
 
 def _to_univariate(P: dict, var: int) -> dict:
@@ -713,8 +774,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return _int_content_normalized(f)[0]
     if f.is_constant() or g.is_constant():
         return Poly.const(table, 1)
-    result = _zgcd(_int_form(f)[0], _int_form(g)[0])
-    return Poly(table, {e: Fraction(c) for e, c in result.items()})
+    return _from_int(table, _zgcd(_int_form(f)[0], _int_form(g)[0]), 1)
 
 
 def poly_lcm(f: Poly, g: Poly) -> Poly:
@@ -1217,7 +1277,15 @@ class FactoredRational:
             [f for f in factors if (f in self.factors) != (f in other.factors)])
 
     def mul_poly(self, p: Poly) -> "FactoredRational":
-        return FactoredRational(self.num * p, self.factors)
+        """num*p / den, with p trial-divided before the product is formed.
+
+        Each factor f is irreducible and does not divide num, so f^j divides
+        num*p exactly when f^j divides p: dividing the factors out of p
+        alone leaves the same quotient as dividing them out of num*p.
+        """
+        out = FactoredRational._reduced(p, dict(self.factors), list(self.factors))
+        out.num = self.num * out.num
+        return out
 
     def div_factor(self, f: Poly, mult: int = 1) -> "FactoredRational":
         factors = dict(self.factors)

@@ -22,6 +22,9 @@ from braidorbit.scalar import (
     Poly,
     Scalar,
     SymbolTable,
+    _int_form,
+    _zmul,
+    _zpow,
     cyclotomic,
     parse_scalar,
     poly_div_exact,
@@ -269,6 +272,95 @@ def test_poly_gcd_primitive_and_cofactors_coprime():
             assert poly_gcd(cf, cg) == Poly.const(t, 1)
 
 
+def _schoolbook_mul(a, b):
+    """Product of {exponent tuple: coefficient} dicts, term pair by term pair."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _schoolbook_pow(a, n, width):
+    out = {(0,) * width: Fraction(1)}
+    for _ in range(n):
+        out = _schoolbook_mul(out, a)
+    return out
+
+
+def test_poly_mul_pow_match_schoolbook():
+    rng = random.Random(2026)
+    x1 = SymbolTable(["x"])
+    x = Poly.symbol(x1, "x")
+    one = Poly.const(x1, 1)
+    cases = [
+        # the zero polynomial, on both sides
+        (Poly.zero(x1), x + one),
+        (x + one, Poly.zero(x1)),
+        # constants over the empty table
+        (Poly.const(EMPTY_TABLE, Fraction(-3, 4)), Poly.const(EMPTY_TABLE, Fraction(2, 9))),
+        # exponents 3 and 2: the product's x^5 is B - 1 for B = 3 + 2 + 1
+        (x ** 3 + one.scale(Fraction(1, 2)), x * x + x.scale(Fraction(2, 3))),
+        # (x - 1/2 y)(x + 1/2 y) = x^2 - 1/4 y^2: the xy terms cancel
+        (parse_scalar("x - y/2", SymbolTable(["x", "y"])).num,
+         parse_scalar("x + y/2", SymbolTable(["x", "y"])).num),
+        # x^3 y^0 z^2 and x^0 y^3 z^1: every digit of some product key reaches B - 1
+        (parse_scalar("3/2*x^3*z^2 - y + 5/7", SymbolTable(["x", "y", "z"])).num,
+         parse_scalar("x^2*y^3*z - 2/3*x*z^3 + 1", SymbolTable(["x", "y", "z"])).num),
+    ]
+    for width in range(1, 4):
+        t = SymbolTable([f"x{i}" for i in range(width)])
+        for _ in range(20):
+            cases.append((_random_rational_poly(rng, t, rng.randint(1, 5)),
+                          _random_rational_poly(rng, t, rng.randint(1, 5))))
+    for a, b in cases:
+        width = len(a.table)
+        assert (a * b).terms == _schoolbook_mul(a.terms, b.terms)
+        assert (a * b).terms == (b * a).terms
+        for n in (0, 1, 2, 5):
+            assert (a ** n).terms == _schoolbook_pow(a.terms, n, width)
+    assert str(Poly.zero(x1) ** 0) == "1"
+    # the kernel itself, on integer dicts
+    int_cases = [
+        ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}),     # x^2 - y^2
+        ({(3, 0): 2, (0, 1): -1}, {(2, 1): 3, (0, 0): 5}),      # carries without the + 1
+        ({(2, 2): 4, (1, 0): -6, (0, 0): 1}, {(2, 2): 1, (0, 1): 7, (1, 1): -2}),
+        ({(): 6}, {(): -7}),
+        ({(0, 0): 3}, {(4, 1): 2, (0, 2): -5}),
+    ]
+    for a, b in int_cases:
+        assert _zmul(a, b) == _schoolbook_mul(a, b)
+        for n in (0, 1, 2, 5):
+            assert _zpow(a, n) == _schoolbook_pow(a, n, len(next(iter(a))))
+
+
+def test_cached_int_form_not_mutated():
+    """gcd, exact division, products and powers leave each operand's terms and
+    its cached cleared form as a fresh clearing gives them."""
+    t = SymbolTable(["x", "y"])
+    polys = [parse_scalar(text, t).num for text in (
+        "2*x + 4*y", "x^2/3 - y/6 + 1/2", "6*x*y - 9", "x + y", "7/4")]
+
+    def fresh(p):
+        return _int_form(Poly(p.table, p.terms))
+
+    snapshots = [dict(p.terms) for p in polys]
+    results = []
+    for a in polys:
+        for b in polys:
+            prod = a * b
+            results += [prod, poly_gcd(a, b), poly_div_exact(prod, b),
+                        poly_div_exact(a, b), a ** 3]
+    for p, snap in zip(polys, snapshots):
+        assert p.terms == snap
+        assert p._zform is not None
+        assert p._zform == fresh(p)
+    for r in results:
+        if r is not None:
+            assert _int_form(r) == fresh(r)
+
+
 def test_cyclotomic_and_qnumber_factors():
     phi4 = cyclotomic(4, Q)
     assert phi4 == parse_scalar("q^2+1", Q).num
@@ -337,6 +429,29 @@ def test_factored_rational_random_against_scalar():
             check(a + b, sa + sb)
             check(a - b, sa - sb)
             check(a * b, sa * sb)
+
+
+def test_factored_rational_mul_poly():
+    """p is trial-divided before the product: a factor at a higher power in p
+    than in the denominator, two shared factors, and a coprime p."""
+    t = SymbolTable(["x", "y"])
+    x = Poly.symbol(t, "x")
+    y = Poly.symbol(t, "y")
+    one = Poly.const(t, 1)
+    f, g, h = x - y, x + y.scale(2), y + one
+    base = FactoredRational((x * x + one).scale(Fraction(3, 5)), {f: 2, g: 1})
+    for p in (f ** 3 * h,                       # f^3 over f^2: f^1 is left in num
+              (f * g * h).scale(Fraction(7, 2)),  # shares f and g
+              x * y + one,                       # coprime
+              Poly.const(t, Fraction(-4, 3))):
+        out = base.mul_poly(p)
+        assert out.to_scalar() == base.to_scalar() * Scalar.make(p, one)
+        for factor in out.factors:
+            assert poly_div_exact(out.num, factor) is None
+    assert base.mul_poly(f ** 3 * h).factors == {g: 1}
+    assert base.mul_poly((f * g * h).scale(Fraction(7, 2))).factors == {f: 1}
+    assert base.mul_poly(x * y + one).factors == {f: 2, g: 1}
+    assert base.mul_poly(Poly.zero(t)).is_zero()
 
 
 def test_parser_round_trip_and_errors():
