@@ -48,8 +48,11 @@ def _add_symmetry_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_symmetry(args, table: SymbolTable):
+    """The symmetry over `table`; a file's symbols come first in its table."""
     if args.file:
-        return hecke.build_from_file(args.file)
+        hs = hecke.build_from_file(args.file)
+        return hs.lift(SymbolTable(hs.table.names + tuple(
+            name for name in table.names if name not in hs.table)))
     if not args.builtin:
         raise ParseError("need --builtin or --file")
     q = parse_scalar(args.q, table) if args.q else None
@@ -63,6 +66,15 @@ def _profile_from_args(args, table: SymbolTable):
     q = parse_scalar(args.q, table) if args.q else Scalar.one(table)
     h = parse_scalar(args.h, table) if getattr(args, "h", None) else None
     return symfun.EigenvalueProfile(mus, nus, q, h)
+
+
+def _profile_and_symmetry(args, *texts):
+    """(profile, symmetry) over one table, refused when their q differ."""
+    hs = _build_symmetry(args, _collect_symbols(args.q, *texts))
+    prof = _profile_from_args(args, hs.table)
+    if prof.q != hs.q:
+        raise ParseError(f"the profile's q = {prof.q} is not the q = {hs.q} of {hs.name}")
+    return prof, hs
 
 
 class Report:
@@ -179,10 +191,8 @@ def _cmd_orbit(args) -> Report:
 
 
 def _cmd_cotangent(args) -> Report:
-    table = _collect_symbols(args.q, args.mu, args.nu)
     rep = Report("cotangent", _inputs(args))
-    prof = _profile_from_args(args, table)
-    hs = _build_symmetry(args, table)
+    prof, hs = _profile_and_symmetry(args, args.mu, args.nu)
     data = orbit.cotangent(hs, prof)
     for name, value in sorted(data.certificates.items()):
         if isinstance(value, bool):
@@ -215,9 +225,11 @@ def _cmd_koszul(args) -> Report:
 
 
 def _cmd_mrea(args) -> Report:
-    table = _collect_symbols(args.q, args.mu, args.nu, args.h)
     rep = Report("mrea", _inputs(args))
-    prof = _profile_from_args(args, table)
+    if args.builtin or args.file:
+        prof, hs = _profile_and_symmetry(args, args.mu, args.nu, args.h)
+    else:
+        prof = _profile_from_args(args, _collect_symbols(args.q, args.mu, args.nu, args.h))
     verdict = orbit.regularity(prof)
     rep.add("regular", verdict.regular,
             violated=[f"{k}:{i},{j}" for k, i, j in verdict.violated] or None)
@@ -232,7 +244,6 @@ def _cmd_mrea(args) -> Report:
         orbit.higher_power_reduction(prof, size + 2)
         rep.add("hatted-recurrence", True, checked_up_to=size + 2)
         if args.builtin or args.file:
-            hs = _build_symmetry(args, table)
             quotient, data = orbit.nc_orbit(hs, prof)
             rep.add("nc-orbit-pipeline", True, mode=quotient.mode)
             for name, value in sorted(data.certificates.items()):

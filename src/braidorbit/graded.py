@@ -1,4 +1,4 @@
-"""Quadratic algebras degree by degree on normal words.
+"""Quadratic algebras and their PBW deformations, degree by degree on normal words.
 
 A quadratic algebra A = T(V)/<R> is graded, and its degree-k component is
 
@@ -13,6 +13,19 @@ Positselski, *Quadratic Algebras*, 2005).  B_k is a basis of A_k, and the
 echelon rows say how each pivot word b x (b in B_{k-1}) rewrites into normal
 words.  Every computation happens inside span(B_{k-1}) (x) V, whose dimension
 grows with dim A_k, never inside the N^k-dimensional word space.
+
+Relations may carry lower-degree tails, r = r_2 + r_1 + r_0: the quotient is
+then filtered, not graded.  A row's top-degree words keep their bare keys;
+its tail is normal-formed in the degrees already built and each word w of it
+is keyed (letters,) + w, after every top-degree word.  The echelon form then
+pivots on top-degree words, each rewrite may shorten a word, and the normal
+words are those of the quadratic algebra of the top parts r_2.  A row whose
+top part cancels and whose tail does not says that normal words of lower
+degree are dependent: the relations are not a PBW deformation of their top
+parts, and `IdentityFailed` names the degree and the word.  By the diamond
+lemma this obstruction lives in degree 3 for a Koszul top part (Braverman and
+Gaitsgory, *J. Algebra* 181, 1996; Polishchuk and Positselski, ch. 5), where
+it is the Jacobi identity of a Lie bracket; it is checked in every degree.
 
 `ideal_span` adds central inhomogeneous generators, certified so, on top of
 the relations: their ideal modulo the relations is spanned by the normal
@@ -42,28 +55,54 @@ def accumulate(target: dict, key, value) -> None:
 
 
 class GradedQuotient:
-    """T(V)/<relations> for homogeneous quadratic relations, grown on demand.
+    """T(V)/<relations> for quadratic relations with lower-degree tails,
+    grown on demand.
 
-    `relations` are dicts {(a, b): coefficient}.  The ones that enlarge the
-    span are kept in `relations`, in the order given; the others are implied.
+    `relations` are dicts {word: coefficient} on words of length at most 2.
+    The ones that enlarge the span are kept in `relations`, in the order
+    given; the others are implied.
     """
 
     def __init__(self, letters: int, relations: Iterable[dict]):
         self.letters = letters
-        space = RowSpace()
-        self.relations = [r for r in relations if space.add(r)]
         # normal[k]: B_k in word-code order; rewrites[k]: pivot word of
         # degree k -> its normal form {normal word: coefficient}
         self.normal = [[()], [(a,) for a in range(letters)]]
         self.rewrites = [{}, {}]
+        relations = list(relations)
+        self._filtered = any(len(w) < 2 for r in relations for w in r)
+        space = RowSpace()
+        self.relations = [r for r in relations if space.add(self._keyed(r, 2))]
+        # each relation as (its tail, its quadratic terms as (x_a, x_b, c))
+        self._split = [({w: c for w, c in r.items() if len(w) < 2},
+                        [(w[:1], w[1:], c) for w, c in r.items() if len(w) == 2])
+                       for r in self.relations]
         self._close(space)
+
+    def _keyed(self, row: dict, k: int) -> dict:
+        """Row of degree-k words plus a tail: the tail normal-formed and its
+        words keyed (letters,) + w, so they sort after every degree-k word."""
+        if not self._filtered:
+            return row
+        out = {w: c for w, c in row.items() if len(w) == k}
+        tail = self.normal_form({w: c for w, c in row.items() if len(w) < k})
+        for w, c in tail.items():
+            out[(self.letters,) + w] = c
+        return out
 
     def _close(self, space: RowSpace) -> None:
         """Record degree k from its echelon form over B_{k-1} (x) V."""
+        k, top = len(self.normal), self.letters
         pivots = space.pivots
-        self.normal.append([b + (a,) for b in self.normal[-1] for a in range(self.letters)
+        for w in pivots:
+            if w[0] == top:
+                raise IdentityFailed(
+                    f"not a PBW deformation: degree-{k} relations make the "
+                    f"degree-{len(w) - 1} normal word {w[1:]} dependent")
+        self.normal.append([b + (a,) for b in self.normal[-1] for a in range(top)
                             if b + (a,) not in pivots])
-        self.rewrites.append({w: {c: -v for c, v in row.items() if c != w}
+        self.rewrites.append({w: {(c if c[0] < top else c[1:]): -v
+                                  for c, v in row.items() if c != w}
                               for w, row in pivots.items()})
 
     def grow(self, degree: int) -> None:
@@ -73,26 +112,27 @@ class GradedQuotient:
             below = self.rewrites[k - 1]
             space = RowSpace()
             for u in self.normal[k - 2]:
-                for r in self.relations:
-                    row: dict = {}
-                    for (a, b), c in r.items():
-                        ua = u + (a,)
+                for tail, quadratic in self._split:
+                    row = {u + w: c for w, c in tail.items()}
+                    for a, b, c in quadratic:
+                        ua = u + a
                         nf = below.get(ua)
                         if nf is None:
-                            accumulate(row, ua + (b,), c)
+                            accumulate(row, ua + b, c)
                         else:
-                            for w, v in nf.items():
-                                accumulate(row, w + (b,), c * v)
-                    space.add(row)
+                            for v, cv in nf.items():
+                                accumulate(row, v + b, c * cv)
+                    space.add(self._keyed(row, k))
             self._close(space)
 
     def dims(self, depth: int) -> list:
-        """dim A_k for k = 0..depth."""
+        """dim A_k for k = 0..depth: the number of normal words of length k."""
         self.grow(depth)
         return [len(self.normal[k]) for k in range(depth + 1)]
 
     def normal_words(self, degree: int) -> list:
-        """B_degree, the basis of A_degree, in word-code order."""
+        """B_degree, the basis of A_degree (of F_degree / F_degree-1 with
+        tails), in word-code order."""
         self.grow(degree)
         return self.normal[degree]
 
@@ -135,8 +175,7 @@ def ideal_span(algebra, generators: Iterable[dict], max_degree: int) -> RowSpace
     """Echelon form of the two-sided ideal of central inhomogeneous
     `generators` modulo the relations of `algebra`, truncated at `max_degree`.
 
-    `algebra` is a `GradedQuotient` or any straightening with the same
-    `normal_words` and `normal_form`.  Each generator g is certified central
+    `algebra` is a `GradedQuotient`.  Each generator g is certified central
     first, NF(x g) = NF(g x) for every letter x, or `IdentityFailed` names g
     and x.  Then u g v = u v g, so the rows NF(u g) over normal words u span
     the same truncated ideal as NF(u g v) over u, v: the echelon basis is

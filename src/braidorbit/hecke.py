@@ -55,7 +55,6 @@ class HeckeSymmetry:
     psi: TensorOp
     b_op: MatrixS
     c_op: MatrixS
-    parities: Optional[tuple] = None  # Z_2 grading of basis vectors, when meaningful
 
     @property
     def r_inv(self) -> TensorOp:
@@ -85,7 +84,6 @@ class HeckeSymmetry:
             psi=lift_op(self.psi),
             b_op=lift_mat(self.b_op),
             c_op=lift_mat(self.c_op),
-            parities=self.parities,
         )
 
 
@@ -156,8 +154,7 @@ def solve_skew_inverse(R: TensorOp) -> TensorOp:
     return TensorOp(N, 2, SparseMat(N * N, N * N, rows), table)
 
 
-def validate(name: str, N: int, table: SymbolTable, q: Scalar, R: TensorOp,
-             parities: Optional[tuple] = None) -> HeckeSymmetry:
+def validate(name: str, N: int, table: SymbolTable, q: Scalar, R: TensorOp) -> HeckeSymmetry:
     # The skew-inverse system is the largest structure built here: a row only
     # meets the N^2 unknowns sharing its (o3, i3), so elimination stores at
     # most N^4 rows of N^2 + 1 entries.  Refuse before any residual is formed.
@@ -172,7 +169,7 @@ def validate(name: str, N: int, table: SymbolTable, q: Scalar, R: TensorOp,
     b_op = partial_trace(psi, 1).mat.to_dense(table)
     c_op = partial_trace(psi, 2).mat.to_dense(table)
     return HeckeSymmetry(name=name, N=N, table=table, q=q, R=R,
-                         psi=psi, b_op=b_op, c_op=c_op, parities=parities)
+                         psi=psi, b_op=b_op, c_op=c_op)
 
 
 def validation_report(hs: HeckeSymmetry) -> dict:
@@ -191,8 +188,7 @@ def validation_report(hs: HeckeSymmetry) -> dict:
 
 def build_flip(N: int, table: SymbolTable = EMPTY_TABLE) -> HeckeSymmetry:
     """The plain flip; involutive (q = 1)."""
-    return validate(f"flip({N})", N, table, Scalar.one(table), flip_op(table, N),
-                    parities=tuple([0] * N))
+    return validate(f"flip({N})", N, table, Scalar.one(table), flip_op(table, N))
 
 
 def build_superflip(m: int, n: int, table: SymbolTable = EMPTY_TABLE) -> HeckeSymmetry:
@@ -203,8 +199,7 @@ def build_superflip(m: int, n: int, table: SymbolTable = EMPTY_TABLE) -> HeckeSy
                 table, -1 if parities[i] and parities[j] else 1)}
             for i in range(N) for j in range(N)}
     return validate(f"superflip({m},{n})", N, table, Scalar.one(table),
-                    TensorOp(N, 2, SparseMat(N * N, N * N, rows), table),
-                    parities=parities)
+                    TensorOp(N, 2, SparseMat(N * N, N * N, rows), table))
 
 
 def _deformed_flip(q: Scalar, parities: tuple) -> TensorOp:
@@ -241,8 +236,7 @@ def build_dj_gl(N: int, q: Scalar) -> HeckeSymmetry:
     table = q.table
     if q.is_zero():
         raise BadDeformationParameter("q must be nonzero")
-    return validate(f"dj_gl({N})", N, table, q, _deformed_flip(q, (0,) * N),
-                    parities=(0,) * N)
+    return validate(f"dj_gl({N})", N, table, q, _deformed_flip(q, (0,) * N))
 
 
 def build_q_super(m: int, n: int, q: Scalar) -> HeckeSymmetry:
@@ -251,8 +245,7 @@ def build_q_super(m: int, n: int, q: Scalar) -> HeckeSymmetry:
     if q.is_zero():
         raise BadDeformationParameter("q must be nonzero")
     parities = tuple([0] * m + [1] * n)
-    return validate(f"q_super({m},{n})", m + n, table, q, _deformed_flip(q, parities),
-                    parities=parities)
+    return validate(f"q_super({m},{n})", m + n, table, q, _deformed_flip(q, parities))
 
 
 def build_from_file(path: str) -> HeckeSymmetry:

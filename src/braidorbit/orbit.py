@@ -14,9 +14,8 @@ orbit ideal.  That reduction works on normal words of the algebra: the
 orbit generators p_k - c_k are central, certified so, and the orbit ideal
 modulo the relations is spanned by the normal forms of u g, with u a normal
 word; an entry vanishes on the orbit when its normal form lies in that span.
-The normal form is the graded one of the plain algebra, reached through the
-shift substitution for the modified algebra at q != 1, and the super-PBW
-straightening at q = 1.
+The normal form is the one of `RelationSpace.quotient`: graded for the plain
+algebra, filtered for the modified algebra, at every q.
 """
 
 from __future__ import annotations
@@ -43,14 +42,11 @@ from .linalg import MatrixS, det_bareiss, inverse
 from .rea import (
     WORD_SPACE_CAP,
     NCPoly,
-    PBWRules,
     RelationSpace,
     generating_matrix,
     nc_matmul,
     power_sum_element,
     relation_space,
-    shift_generators,
-    shift_route,
 )
 from .scalar import Poly, Scalar, SymbolTable, poly_lcm
 from .symfun import (
@@ -327,16 +323,44 @@ def hatted_ch_values(profile: EigenvalueProfile) -> list:
     return hatted
 
 
+def _hatted_ch_values_q1(profile: EigenvalueProfile) -> list:
+    """q -> 1 limit of the shifted coefficients through a symbolic-q detour.
+
+    The individual shift terms have poles in q - 1/q; the collected
+    coefficients do not, so substituting q = 1 after normalization is exact.
+    The detour runs over the profile's table plus a fresh symbol for q.
+    """
+    table = profile.table
+    name = "q"
+    while name in table:
+        name += "_"
+    wide = SymbolTable(table.names + (name,))
+    sym_profile = EigenvalueProfile([mu.lift(wide) for mu in profile.mus],
+                                    [nu.lift(wide) for nu in profile.nus],
+                                    Scalar.from_symbol(wide, name), profile.h.lift(wide))
+    return [c.substitute({name: 1}).lift(table) for c in hatted_ch_values(sym_profile)]
+
+
+def orbit_coefficients(profile: EigenvalueProfile) -> tuple:
+    """(Cayley-Hamilton coefficient values, orbit mode) of a profile.
+
+    braided: h = 0, the plain values; nc: the shift-expanded values at
+    q != 1; nc-classical: their q -> 1 limit.
+    """
+    if not profile.is_mrea:
+        return ch_values(profile), "braided"
+    if (profile.q - profile.q.inv()).is_zero():
+        return _hatted_ch_values_q1(profile), "nc-classical"
+    return hatted_ch_values(profile), "nc"
+
+
 def higher_power_reduction(profile: EigenvalueProfile, top: int,
                            coeff_values: Optional[list] = None) -> list:
     """p_k for k = m+n+1..top via the recurrence; checked against the
     parametrized values.  Returns the recurrence values."""
     size = profile.m + profile.n
     if coeff_values is None:
-        if profile.is_mrea:
-            coeff_values = hatted_ch_values(profile)
-        else:
-            coeff_values = ch_values(profile)
+        coeff_values, _ = orbit_coefficients(profile)
     lead = coeff_values[0]
     if lead.is_zero():
         raise ExceptionalProfile("leading Cayley-Hamilton coefficient vanishes")
@@ -369,11 +393,10 @@ class OrbitIdealReducer:
     the relations is spanned by NF(u g) over normal words u
     (`graded.ideal_span`), echelonized once with top-degree columns first,
     so generators pivot on their power-sum parts; reducing against that
-    unique echelon basis gives canonical residuals.  An element is scaled by
-    the lcm d of its coefficients' polynomial denominators first and its
-    residual by 1/d, so the reduction runs on polynomial entries.  A
-    modified-mode `rs` shifts generators and elements into the plain algebra
-    (q != 1) or straightens them (q = 1).
+    unique echelon basis gives canonical residuals.  The normal forms are
+    those of `rs.quotient`, plain or modified alike.  An element is scaled
+    by the lcm d of its coefficients' polynomial denominators first and its
+    residual by 1/d, so the reduction runs on polynomial entries.
     """
 
     def __init__(self, rs: RelationSpace, extra_generators: Sequence[NCPoly],
@@ -386,19 +409,7 @@ class OrbitIdealReducer:
         self.N = N
         self.table = rs.hs.table
         self.max_degree = max_degree
-        self.shift = None
-        if rs.mode == "mrea" and (rs.hs.q - rs.hs.q.inv()).is_zero():
-            parities = rs.hs.parities
-            if parities is None:
-                raise ShiftUnavailable("q = 1 reduction needs a graded flip symmetry")
-            m = parities.count(0)
-            self.quotient = PBWRules(m, len(parities) - m, rs.h)
-        else:
-            if rs.mode == "mrea":
-                rs, self.shift = shift_route(rs)
-                extra_generators = [shift_generators(g, self.shift)
-                                    for g in extra_generators]
-            self.quotient = rs.membership_reducer(max_degree)
+        self.quotient = rs.membership_reducer(max_degree)
         self.space = ideal_span(self.quotient, [g.terms for g in extra_generators],
                                 max_degree)
 
@@ -410,8 +421,6 @@ class OrbitIdealReducer:
         if dens:
             d = Scalar.make(functools.reduce(poly_lcm, dens), Poly.const(self.table, 1))
             x = x.scale(d)
-        if self.shift is not None:
-            x = shift_generators(x, self.shift)
         res = self.space.reduce(by_degree(self.quotient.normal_form(x.terms)))
         out = NCPoly(self.N, self.table, {w: c for (_, w), c in res.items()})
         return out.scale(d.inv()) if dens else out
@@ -438,9 +447,6 @@ class CotangentData:
     ebar: list               # N^2 x N^2 idempotent (NCPoly entries)
     e: list                  # complement I - ebar
     certificates: dict
-
-    def summary(self) -> dict:
-        return dict(self.certificates)
 
 
 def _idempotent(hs: HeckeSymmetry, profile: EigenvalueProfile):
@@ -485,8 +491,7 @@ def _orbit_pipeline(hs: HeckeSymmetry, profile: EigenvalueProfile,
 
     Returns (quotient, data, reduction degree or None when the entrywise
     check was skipped, the rows of ebar^2 formed).  The profile picks the
-    route: the plain algebra for h = 0, the shift substitution for q != 1,
-    straightening at q = 1.
+    algebra: the plain one for h = 0, the modified one otherwise.
     """
     verdict = regularity(profile)
     if not verdict.regular:
@@ -495,12 +500,7 @@ def _orbit_pipeline(hs: HeckeSymmetry, profile: EigenvalueProfile,
     certificates = {"regular": True}
     certificates["free_hankel"] = free_hankel_identity(hs, size)
     A, B, H, ebar, e = _idempotent(hs, profile)
-    if not profile.is_mrea:
-        coeffs, mode = ch_values(profile), "braided"
-    elif (profile.q - profile.q.inv()).is_zero():
-        coeffs, mode = _hatted_ch_values_q1(profile), "nc-classical"
-    else:
-        coeffs, mode = hatted_ch_values(profile), "nc"
+    coeffs, mode = orbit_coefficients(profile)
     higher_power_reduction(profile, 2 * size - 2, coeff_values=coeffs)
     certificates["power_recurrence"] = True
     targets = [power_sum_param(k, profile) for k in range(1, size + 1)]
@@ -552,24 +552,9 @@ def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile,
              verify_degree_cap: Optional[int] = None) -> tuple:
     """Modified-algebra orbit: shifted power sums, coefficients and idempotent.
 
-    For q != 1 the zero tests route through the shift substitution; at q = 1
-    the symmetry must be a (super-)flip and straightening takes over.  The
-    h = 0 case degenerates to the plain pipeline.
+    The zero tests run in the modified algebra itself, at every q and for
+    every symmetry whose modified relations are a PBW deformation of the
+    plain ones.  The h = 0 case degenerates to the plain pipeline.
     """
     quotient, data, _, _ = _orbit_pipeline(hs, profile, verify_degree_cap)
     return quotient, data
-
-
-def _hatted_ch_values_q1(profile: EigenvalueProfile) -> list:
-    """q -> 1 limit of the shifted coefficients through a symbolic-q detour.
-
-    The individual shift terms have poles in q - 1/q; the collected
-    coefficients do not, so substituting q = 1 after normalization is exact.
-    """
-    table = profile.table
-    if "q" not in table:
-        raise ShiftUnavailable("q = 1 detour needs a symbol 'q' in the table")
-    qsym = Scalar.from_symbol(table, "q")
-    sym_profile = EigenvalueProfile(profile.mus, profile.nus, qsym, profile.h)
-    coeffs = hatted_ch_values(sym_profile)
-    return [c.substitute({"q": 1}) for c in coeffs]

@@ -1,19 +1,20 @@
 """Reflection equation algebra engine: relation ideals and exact zero-tests.
 
 Elements are noncommutative polynomials in the entries of the generating
-matrix.  The relations are homogeneous and quadratic, so the quotient is
-graded and `graded.GradedQuotient` builds it degree by degree on its normal
-words: the words that lead no element of the ideal, which form a basis of
-each component.  An element is zero in the quotient exactly when its normal
-form vanishes, and a nonzero normal form is the canonical residual.  No
-noncommutative Groebner machinery and no N^(2d)-dimensional word space is
-needed.
+matrix.  The plain relations are homogeneous and quadratic, so the plain
+quotient is graded; the modified ones add a tail linear in the generators,
+and that quotient is filtered, a PBW deformation of the plain one.
+`graded.GradedQuotient` builds either degree by degree on the normal words
+of the plain algebra: the words that lead no element of the ideal, which
+form a basis of each component, or of each step of the filtration.  An
+element is zero in the quotient exactly when its normal form vanishes, and a
+nonzero normal form is the canonical residual.  The same engine serves every
+q, q = 1 included; no noncommutative Groebner machinery and no
+N^(2d)-dimensional word space is needed.
 
-The modified algebra (linear right-hand side in the relations) is handled
-through the shift substitution l -> l + (h/(q - 1/q)) I, which turns its
-relations into the plain ones whenever q != 1; at q = 1 the involutive
-quotient is an enveloping algebra and the normal form is the super-PBW
-straightening instead.
+`shift_generators` substitutes l -> l + c I.  With c = h/(q - 1/q) it maps
+the modified algebra onto the plain one whenever q != 1, the isomorphism
+that the modified engine is checked against.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ChFailed, ResourceLimit, ShiftUnavailable
-from .graded import GradedQuotient, accumulate
-from .hecke import HeckeSymmetry, birank, build_superflip
+from .errors import ChFailed, ResourceLimit
+from .graded import GradedQuotient
+from .hecke import HeckeSymmetry, birank
 from .linalg import RowSpace, TensorOp
 from .scalar import Scalar, SymbolTable
 from .symfun import NewtonConverter, ch_coefficients
@@ -113,13 +114,6 @@ class NCPoly:
 
     def degrees(self) -> set:
         return {len(w) for w in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def degree_part(self, d: int) -> "NCPoly":
-        return NCPoly(self.N, self.table,
-                      {w: c for w, c in self.terms.items() if len(w) == d})
 
     def max_degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
@@ -244,23 +238,17 @@ def reflection_matrix(hs: HeckeSymmetry, which: str = "minus",
 
 @dataclass
 class RelationSpace:
-    """Span of the quadratic relation entries and, in the plain modes, the
-    graded quotient they define."""
+    """Span of the quadratic relation entries and the quotient they define."""
 
     hs: HeckeSymmetry
-    mode: str                      # "rea" or "mrea"
-    h: Optional[Scalar]
     relations: list                # NCPoly entries (N^4 of them)
     basis: list                    # independent coefficient vectors {word: c}
     dim: int
-    quotient: Optional[GradedQuotient] = None
-    _rea_view: Optional["RelationSpace"] = None
+    quotient: GradedQuotient
 
     def membership_reducer(self, degree: int) -> GradedQuotient:
-        """The graded quotient, built through `degree`; the normal form it
-        gives is the residual of a zero test."""
-        if self.mode == "mrea":
-            raise ValueError("graded reducers exist only in the plain mode")
+        """The quotient, built through `degree`; the normal form it gives is
+        the residual of a zero test."""
         base = self.hs.N * self.hs.N
         if base ** degree > WORD_SPACE_CAP:
             raise ResourceLimit(f"degree-{degree} slice has dimension {base ** degree}")
@@ -272,17 +260,9 @@ def relation_space(hs: HeckeSymmetry, which: str = "minus",
                    h: Optional[Scalar] = None) -> RelationSpace:
     entries = reflection_matrix(hs, which, h)
     relations = [e for rowent in entries for e in rowent]
-    vectors = [e.terms for e in relations if not e.is_zero()]
-    if which == "mrea":
-        space = RowSpace()
-        basis = [vec for vec in vectors if space.add(vec)]
-        quotient = None
-    else:
-        quotient = GradedQuotient(hs.N * hs.N, vectors)
-        basis = quotient.relations
-    return RelationSpace(hs=hs, mode="mrea" if which == "mrea" else "rea", h=h,
-                         relations=relations, basis=basis, dim=len(basis),
-                         quotient=quotient)
+    quotient = GradedQuotient(hs.N * hs.N, [e.terms for e in relations if not e.is_zero()])
+    return RelationSpace(hs=hs, relations=relations, basis=quotient.relations,
+                         dim=len(quotient.relations), quotient=quotient)
 
 
 def complementarity_check(hs: HeckeSymmetry) -> bool:
@@ -324,41 +304,15 @@ def shift_generators(x: NCPoly, c: Scalar) -> NCPoly:
 def is_zero_mod(x: NCPoly, rs: RelationSpace) -> tuple:
     """Decide x = 0 in the quotient algebra; returns (verdict, normal form).
 
-    Plain mode requires homogeneous input (the ideal is graded).  The
-    modified mode shifts the generators and takes the normal form in the
-    plain algebra; it needs q != 1.
+    x may mix degrees.  Its normal form is taken in `rs.quotient`, graded in
+    the plain mode and filtered in the modified one, at every q.
     """
     if x.is_zero():
         return True, x
-    if rs.mode == "mrea":
-        rs, shift = shift_route(rs)
-        x = shift_generators(x, shift)
-    elif not x.is_homogeneous():
-        raise ValueError("plain-mode zero test needs a homogeneous element")
-    degrees = sorted(d for d in x.degrees() if d >= 2)
-    if not degrees:
-        return x.is_zero(), x
-    for d in degrees:   # the lowest degree over the cap is the one refused
+    for d in sorted(x.degrees()):   # the lowest degree over the cap is the one refused
         quotient = rs.membership_reducer(d)
     nf = quotient.normal_form(x.terms)
     return not nf, NCPoly(x.N, x.table, nf)
-
-
-def shift_route(rs: RelationSpace) -> tuple:
-    """(plain relation space, shift constant) of a modified-mode space."""
-    q = rs.hs.q
-    xi = q - q.inv()
-    if xi.is_zero():
-        raise ShiftUnavailable(
-            "the shift isomorphism degenerates at q = 1; use the PBW route")
-    return _rea_view(rs), rs.h * xi.inv()
-
-
-def _rea_view(rs: RelationSpace) -> RelationSpace:
-    """Plain-mode relation space of the same symmetry (for the shift route)."""
-    if rs._rea_view is None:
-        rs._rea_view = relation_space(rs.hs, "minus")
-    return rs._rea_view
 
 
 # ---------------------------------------------------------------------------
@@ -462,98 +416,3 @@ def ch_verify(hs: HeckeSymmetry, m: int, n: int, *, check_birank: bool = True,
             if raise_on_fail:
                 raise ChFailed(f"entry {idx} has residual {residual}")
     return not report["failures"], report
-
-
-# ---------------------------------------------------------------------------
-# super-PBW straightening at q = 1
-# ---------------------------------------------------------------------------
-
-
-class PBWRules:
-    """Straightening rules extracted from the graded-flip relation entries.
-
-    For generators x = l[a], y = l[b] with a > b the relations contain
-    x y - (+-) y x - h(...) = 0; echelonizing with out-of-order words (and
-    odd squares) as leading columns turns every relation into a rewrite.
-    """
-
-    def __init__(self, m: int, n: int, h: Scalar):
-        table = h.table
-        hs = build_superflip(m, n, table)
-        self.N = m + n
-        self.table = table
-        self.parities = hs.parities
-        base = self.N * self.N
-        gen_parity = [(self.parities[g // self.N] + self.parities[g % self.N]) % 2
-                      for g in range(base)]
-        # column keys (rank, word...): violations first so they become
-        # pivots, then ordered pairs, single generators and the constant
-        def column(w):
-            if len(w) < 2:
-                return (4 - len(w),) + w
-            a, b = w
-            return (0 if a > b else 1 if a == b and gen_parity[a] else 2, a, b)
-
-        entries = reflection_matrix(hs, "mrea", h)
-        space = RowSpace()
-        for rowent in entries:
-            for e in rowent:
-                space.add({column(w): c for w, c in e.terms.items()})
-        self.rewrites: dict = {}
-        for col, row in space.pivots.items():
-            if len(col) == 3:
-                self.rewrites[col[1:]] = {c2[1:]: -v for c2, v in row.items() if c2 != col}
-        expected = base * (base - 1) // 2 + sum(gen_parity)
-        if len(self.rewrites) != expected:
-            raise ArithmeticError(
-                f"straightening rules incomplete: {len(self.rewrites)} of {expected}")
-
-    def is_violation(self, a: int, b: int) -> bool:
-        return (a, b) in self.rewrites
-
-    def normal_words(self, degree: int) -> list:
-        """Words of length `degree` with no pair to straighten, in code order."""
-        words = [()]
-        for _ in range(degree):
-            words = [w + (g,) for w in words for g in range(self.N * self.N)
-                     if not w or not self.is_violation(w[-1], g)]
-        return words
-
-    def normal_form(self, terms: dict) -> dict:
-        """Straighten a combination {word: coefficient} to weakly increasing words."""
-        work = dict(terms)
-        out: dict = {}
-        while work:
-            word, coeff = work.popitem()
-            spot = None
-            for i in range(len(word) - 1):
-                if self.is_violation(word[i], word[i + 1]):
-                    spot = i
-                    break
-            if spot is None:
-                accumulate(out, word, coeff)
-                continue
-            rule = self.rewrites[(word[spot], word[spot + 1])]
-            head, tail = word[:spot], word[spot + 2:]
-            for mid, c in rule.items():
-                accumulate(work, head + mid + tail, coeff * c)
-        return out
-
-    def reduce(self, x: NCPoly) -> NCPoly:
-        """Normal form: all words straightened to weakly increasing order."""
-        return NCPoly(x.N, x.table, self.normal_form(x.terms))
-
-
-_PBW_CACHE: dict = {}
-
-
-def super_pbw_reduce(x: NCPoly, m: int, n: int, h: Scalar) -> NCPoly:
-    """PBW normal form in the h-scaled enveloping algebra of gl(m|n).
-
-    The rewrite table is derived from the graded-flip relations with the
-    linear tail, so x reduces to 0 exactly when it lies in that ideal.
-    """
-    key = (m, n, h.table.names, str(h))
-    if key not in _PBW_CACHE:
-        _PBW_CACHE[key] = PBWRules(m, n, h)
-    return _PBW_CACHE[key].reduce(x)

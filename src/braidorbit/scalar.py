@@ -161,16 +161,16 @@ class Poly:
         return Poly(table, {exps: _ONE})
 
     def lift(self, table: SymbolTable) -> "Poly":
-        """Re-express over a larger table containing all used symbols."""
+        """Re-express over another table containing all used symbols."""
         if table == self.table:
             return self
-        mapping = [table.index(n) for n in self.table.names]
+        mapping = [(i, table.index(self.table.names[i])) for i in sorted(self.variables())]
         width = len(table)
         terms = {}
         for e, c in self.terms.items():
             ne = [0] * width
-            for pos, exp in zip(mapping, e):
-                ne[pos] = exp
+            for i, pos in mapping:
+                ne[pos] = e[i]
             terms[tuple(ne)] = c
         return Poly(table, terms)
 
@@ -182,14 +182,6 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
 
-    def const_value(self) -> Fraction:
-        if not self.terms:
-            return _ZERO
-        ((exps, coeff),) = self.terms.items()
-        if any(exps):
-            raise ValueError("polynomial is not constant")
-        return coeff
-
     def const_or_none(self) -> Optional[Fraction]:
         if not self.terms:
             return _ZERO
@@ -198,16 +190,6 @@ class Poly:
             if not any(exps):
                 return coeff
         return None
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return 0
-        return max(e[var] for e in self.terms)
 
     def variables(self) -> set:
         used = set()
@@ -615,10 +597,6 @@ def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
     return _from_int(f.table, quot, d * cg)
 
 
-def poly_divisible(f: Poly, g: Poly) -> bool:
-    return poly_div_exact(f, g) is not None
-
-
 def _int_content_normalized(p: Poly) -> tuple[Poly, Fraction]:
     """Split p = content * primitive with an integer-primitive, grlex-monic-sign part."""
     if p.is_zero():
@@ -861,11 +839,10 @@ class Scalar:
         return _const(table, 1, 1)
 
     def lift(self, table: SymbolTable) -> "Scalar":
+        """Re-express over another table containing all used symbols."""
         if table == self.table:
             return self
         if self._d is not None:
-            for name in self.table.names:
-                table.index(name)  # UnboundSymbol, as for a polynomial
             return _const(table, self._n, self._d)
         return _ratio(self._num.lift(table), self._den.lift(table))
 
@@ -1254,10 +1231,6 @@ class FactoredRational:
         out.factors = factors
         out._reduce(trial)
         return out
-
-    @staticmethod
-    def from_poly(p: Poly) -> "FactoredRational":
-        return FactoredRational(p)
 
     @staticmethod
     def const(table: SymbolTable, value) -> "FactoredRational":

@@ -1,7 +1,23 @@
 import json
 import time
 
+import pytest
+
 from braidorbit.cli import main
+
+# the R-matrix file of the README: Drinfeld-Jimbo gl(2) at symbolic q
+README_R = {
+    "dim": 2,
+    "symbols": ["q"],
+    "q": "q",
+    "entries": [
+        {"out_pair": [1, 1], "in_pair": [1, 1], "value": "q"},
+        {"out_pair": [2, 1], "in_pair": [1, 2], "value": "1"},
+        {"out_pair": [1, 2], "in_pair": [1, 2], "value": "q - 1/q"},
+        {"out_pair": [1, 2], "in_pair": [2, 1], "value": "1"},
+        {"out_pair": [2, 2], "in_pair": [2, 2], "value": "q"},
+    ],
+}
 
 
 def run(capsys, *argv):
@@ -81,6 +97,39 @@ def test_mrea_cli(capsys):
     assert "nc-orbit-pipeline: PASS" in out
 
 
+@pytest.mark.parametrize("argv", [
+    "mrea --builtin flip --N 2 --q 1 --mu 0,3*h --h h",
+    "mrea --builtin superflip --m 1 --n 1 --q 1 --mu 0 --nu 3*h --h h",
+])
+def test_mrea_cli_at_q1(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert 'nc-orbit-pipeline: PASS  {"mode": "nc-classical"}' in out
+    assert "nc-entrywise: PASS" in out
+
+
+def test_mrea_file_symmetry_with_typed_symbols(tmp_path, capsys):
+    # h is typed on the command line, q comes from the file as well
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(README_R))
+    code, out = run(capsys, "mrea", "--file", str(path), "--q", "q", "--mu", "1,2",
+                    "--h", "h")
+    assert code == 0
+    assert 'nc-orbit-pipeline: PASS  {"mode": "nc"}' in out
+
+
+@pytest.mark.parametrize("argv", [
+    "cotangent --builtin flip --N 2 --q 7/5 --mu 1,2",
+    "mrea --builtin superflip --m 1 --n 1 --q 9/7 --mu 1 --nu 2 --h h",
+])
+def test_profile_q_other_than_symmetry_q_exits_2(capsys, argv):
+    # flip and superflip have q = 1 whatever --q says; the profile must agree
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "is not the q = 1 of" in captured.err
+
+
 def test_exceptional_orbit_exits_1(capsys):
     code, out = run(capsys, "orbit", "--builtin", "dj_gl", "--N", "2",
                     "--q", "7/5", "--mu", "49/25,1")
@@ -125,20 +174,8 @@ def test_koszul_all_checks(capsys):
 
 
 def test_file_based_symmetry(tmp_path, capsys):
-    doc = {
-        "dim": 2,
-        "symbols": ["q"],
-        "q": "q",
-        "entries": [
-            {"out_pair": [1, 1], "in_pair": [1, 1], "value": "q"},
-            {"out_pair": [2, 1], "in_pair": [1, 2], "value": "1"},
-            {"out_pair": [1, 2], "in_pair": [1, 2], "value": "q - 1/q"},
-            {"out_pair": [1, 2], "in_pair": [2, 1], "value": "1"},
-            {"out_pair": [2, 2], "in_pair": [2, 2], "value": "q"},
-        ],
-    }
     path = tmp_path / "r.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(README_R))
     code, out = run(capsys, "check-r", "--file", str(path))
     assert code == 0
     assert "yang_baxter: PASS" in out

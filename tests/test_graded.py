@@ -3,7 +3,9 @@
 The reference frames every relation by every word on both sides and
 echelonizes the products among all words of the degree, with the columns
 in word-code order; its dimensions and residuals are what the engine's
-normal words and normal forms must reproduce exactly.
+normal words and normal forms must reproduce exactly.  Relations with
+lower-degree tails must either give a PBW deformation or name the word
+that their obstruction makes dependent.
 """
 
 import itertools
@@ -12,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 
+from braidorbit.errors import IdentityFailed
+from braidorbit.graded import GradedQuotient
 from braidorbit.hecke import (
     birank,
     build_dj_gl,
@@ -104,3 +108,41 @@ def test_birank_series_match_word_space_reference(name):
         expected = [1, N] + [N ** k - reference_slice(N, relations, k).rank
                              for k in range(2, depth + 1)]
         assert series == expected
+
+
+def lie_quotient(brackets, letters=3):
+    """T(V)/<x_a x_b - x_b x_a - [x_a, x_b]> for brackets {(a, b): {c: coefficient}}."""
+    relations = []
+    for (a, b), bracket in brackets.items():
+        rel = {(a, b): Fraction(1), (b, a): Fraction(-1)}
+        rel.update({(c,): -Fraction(v) for c, v in bracket.items()})
+        relations.append(rel)
+    return GradedQuotient(letters, relations)
+
+
+def test_tail_contradicting_top_part_raises_at_degree_2():
+    # xy - yx and xy - yx - x differ by x alone
+    one = Fraction(1)
+    with pytest.raises(IdentityFailed, match=r"degree-2 relations .* word \(0,\) dependent"):
+        GradedQuotient(2, [{(0, 1): one, (1, 0): -one},
+                           {(0, 1): one, (1, 0): -one, (0,): -one}])
+
+
+def test_jacobi_failure_raises_at_degree_3():
+    # [x,y] = y, [x,z] = z, [y,z] = x: the Jacobi sum is -2x, so the
+    # overlap z y x does not resolve and x vanishes in the quotient
+    algebra = lie_quotient({(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {0: 1}})
+    assert algebra.dims(2) == [1, 3, 6]
+    with pytest.raises(IdentityFailed, match=r"degree-3 relations .* word \(0,\) dependent"):
+        algebra.grow(3)
+
+
+def test_enveloping_algebra_of_sl2_is_pbw():
+    # [h,e] = 2e, [h,f] = -2f, [e,f] = h with letters h, e, f
+    algebra = lie_quotient({(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    assert algebra.dims(4) == [1, 3, 6, 10, 15]
+    # the Casimir h^2 + 2ef + 2fe commutes with e
+    casimir = {(0, 0): Fraction(1), (1, 2): Fraction(2), (2, 1): Fraction(2)}
+    left = algebra.normal_form({(1,) + w: c for w, c in casimir.items()})
+    right = algebra.normal_form({w + (1,): c for w, c in casimir.items()})
+    assert left == right

@@ -4,8 +4,8 @@ import pytest
 
 from braidorbit.errors import ExceptionalProfile, IdentityFailed, RecurrenceMismatch
 from braidorbit.graded import by_degree, ideal_span
-from braidorbit.hecke import build_dj_gl, build_flip, build_q_super
-from braidorbit.linalg import RowSpace, det_bareiss
+from braidorbit.hecke import build_dj_gl, build_flip, build_q_super, validate
+from braidorbit.linalg import RowSpace, SparseMat, TensorOp, det_bareiss
 from braidorbit.orbit import (
     CotangentData,
     OrbitIdealReducer,
@@ -20,13 +20,7 @@ from braidorbit.orbit import (
     nc_orbit,
     regularity,
 )
-from braidorbit.rea import (
-    NCPoly,
-    nc_matmul,
-    power_sum_element,
-    relation_space,
-    shift_generators,
-)
+from braidorbit.rea import NCPoly, nc_matmul, power_sum_element, relation_space
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable, parse_scalar
 from braidorbit.symfun import EigenvalueProfile, power_sum_param, quantum_dims
 
@@ -276,6 +270,30 @@ def test_nc_orbit_gl2_classical_q1():
     assert data.H.data[0][0] == Scalar.from_fraction(t, 2)
 
 
+def twisted_flip(table):
+    """R(e1 e2) = 2 e2 e1, R(e2 e1) = 1/2 e1 e2, R(ei ei) = ei ei: involutive,
+    and not a graded flip."""
+    c = Fraction
+    rows = {0: {0: c(1)}, 2: {1: c(2)}, 1: {2: c(1, 2)}, 3: {3: c(1)}}
+    rows = {o: {i: Scalar.from_fraction(EMPTY_TABLE, v) for i, v in row.items()}
+            for o, row in rows.items()}
+    hs = validate("twisted_flip", 2, EMPTY_TABLE, Scalar.one(EMPTY_TABLE),
+                  TensorOp(2, 2, SparseMat(4, 4, rows), EMPTY_TABLE))
+    return hs.lift(table)
+
+
+def test_nc_orbit_twisted_flip_q1():
+    # the modified algebra of an involutive symmetry that is not a graded
+    # flip is decided at q = 1 by the same filtered engine
+    t = SymbolTable(["q", "h"])
+    hs = twisted_flip(t)
+    h = Scalar.from_symbol(t, "h")
+    prof = EigenvalueProfile([Scalar.zero(t), 3 * h], [], Scalar.one(t), h)
+    quotient, data = nc_orbit(hs, prof)
+    assert quotient.mode == "nc-classical"
+    assert data.certificates["entrywise"]
+
+
 def _route_inputs(route):
     if route == "plain":
         hs = build_dj_gl(2, parse_scalar("7/5", EMPTY_TABLE))
@@ -335,8 +353,6 @@ def test_one_sided_span_equals_two_sided(route):
     # the same truncated ideal, hence the same unique echelon basis
     hs, prof = _route_inputs(route)
     gens, reducer = _orbit_reducer(hs, prof, [power_sum_param(k, prof) for k in (1, 2)])
-    if reducer.shift is not None:
-        gens = [shift_generators(g, reducer.shift) for g in gens]
     reference = two_sided_span(reducer.quotient, [g.terms for g in gens], 4)
     assert reference.rank == reducer.space.rank > 0
     assert reference.pivots == reducer.space.pivots
@@ -354,8 +370,8 @@ def test_ideal_span_refuses_non_central_generator():
 
 
 def test_reduce_residual_invariant_under_scaling():
-    # shift route over Q(h): the residual of a perturbed-target entry is the
-    # one the echelon basis gives without clearing denominators, and scales
+    # modified algebra over Q(h): the residual of a perturbed-target entry is
+    # the one the echelon basis gives without clearing denominators, and scales
     hs, prof = _route_inputs("shift")
     quotient, data = nc_orbit(hs, prof)
     targets = list(quotient.targets)
@@ -367,8 +383,7 @@ def test_reduce_residual_invariant_under_scaling():
     x = next(x for x in entries if not reducer.reduce(x).is_zero())
     assert any(not c.is_constant() for c in x.terms.values())
     res = reducer.reduce(x)
-    raw = reducer.space.reduce(by_degree(reducer.quotient.normal_form(
-        shift_generators(x, reducer.shift).terms)))
+    raw = reducer.space.reduce(by_degree(reducer.quotient.normal_form(x.terms)))
     assert res == NCPoly(hs.N, hs.table, {w: c for (_, w), c in raw.items()})
     h = Scalar.from_symbol(hs.table, "h")
     d = (h + 2) / (3 * h - 1)

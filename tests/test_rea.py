@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from braidorbit.errors import ShiftUnavailable
 from braidorbit.hecke import build_dj_gl, build_flip, build_q_super, build_superflip
+from braidorbit.linalg import RowSpace
 from braidorbit.rea import (
     NCPoly,
-    PBWRules,
     centrality_check,
     ch_polynomial_entries,
     ch_verify,
@@ -16,9 +15,9 @@ from braidorbit.rea import (
     is_zero_mod,
     nc_matmul,
     power_sum_element,
+    reflection_matrix,
     relation_space,
     shift_generators,
-    super_pbw_reduce,
 )
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable, parse_scalar
 
@@ -205,76 +204,145 @@ def test_mrea_zero_test_via_shift():
     assert ok
 
 
-def test_mrea_shift_unavailable_at_q1():
+def _gl11_mrea(h):
+    """relation_space(superflip(1,1), "mrea", h): the h-scaled U(gl(1|1))."""
+    return relation_space(build_superflip(1, 1, h.table), "mrea", h=h)
+
+
+def test_mrea_decided_at_q1():
+    # the graded-flip modified algebra at q = 1 is decided by the same engine:
+    # a bare square is nonzero and every modified relation entry vanishes
     t = HT
     h = Scalar.from_symbol(t, "h")
-    hs = build_superflip(1, 1, t)
-    rs = relation_space(hs, "mrea", h=h)
+    rs = _gl11_mrea(h)
     x = NCPoly.generator(2, t, 0, 0)
-    with pytest.raises(ShiftUnavailable):
-        is_zero_mod(x * x, rs)
+    ok, res = is_zero_mod(x * x, rs)
+    assert not ok and res == x * x
+    checked = 0
+    for e in rs.relations:
+        if not e.is_zero():
+            ok, res = is_zero_mod(e, rs)
+            assert ok and res.is_zero()
+            checked += 1
+    assert checked > 0
 
 
 def test_pbw_reduce_basics():
+    # letters 0..3 are l[1,1], l[1,2], l[2,1], l[2,2]; in code order the
+    # normal words of degree 2 are the weakly decreasing pairs, odd squares
+    # excluded
     t = HT
     h = Scalar.from_symbol(t, "h")
-    # ordered words stay put
-    x = NCPoly(2, t, {(0, 1): Scalar.one(t)})
-    assert super_pbw_reduce(x, 1, 1, h) == x
+    one = Scalar.one(t)
+    rs = _gl11_mrea(h)
+    assert rs.quotient.normal_words(2) == [(0, 0), (1, 0), (2, 0), (2, 1),
+                                           (3, 0), (3, 1), (3, 2), (3, 3)]
+    # normal words stay put
+    x = NCPoly(2, t, {(1, 0): one})
+    assert is_zero_mod(x, rs) == (False, x)
+    # l[1,1] l[1,2] = l[1,2] l[1,1] + h l[1,2]: the tail of the rewrite
+    ok, nf = is_zero_mod(NCPoly(2, t, {(0, 1): one}), rs)
+    assert not ok and nf.terms == {(1, 0): one, (1,): h}
     # h = 0 collapses to plain (super)symmetrization with signs
-    zero_h = Scalar.zero(t)
-    y = NCPoly(2, t, {(1, 0): Scalar.one(t)})   # l[1,2] * l[1,1] out of order
-    red = super_pbw_reduce(y, 1, 1, zero_h)
-    assert red.terms == {(0, 1): Scalar.one(t)}
-    # odd-odd pair anticommutes at h = 0: l[2,1] l[1,2] -> -l[1,2] l[2,1]
-    z = NCPoly(2, t, {(2, 1): Scalar.one(t)})
-    redz = super_pbw_reduce(z, 1, 1, zero_h)
-    assert redz.terms == {(1, 2): -Scalar.one(t)}
+    rs0 = _gl11_mrea(Scalar.zero(t))
+    _, nf = is_zero_mod(NCPoly(2, t, {(0, 1): one}), rs0)
+    assert nf.terms == {(1, 0): one}
+    # odd-odd pair anticommutes at h = 0: l[1,2] l[2,1] -> -l[2,1] l[1,2]
+    _, nf = is_zero_mod(NCPoly(2, t, {(1, 2): one}), rs0)
+    assert nf.terms == {(2, 1): -one}
 
 
 def test_pbw_relations_reduce_to_zero():
     t = HT
     h = Scalar.from_symbol(t, "h")
-    rules = PBWRules(1, 1, h)
-    hs = build_superflip(1, 1, t)
-    from braidorbit.rea import reflection_matrix
-
-    entries = reflection_matrix(hs, "mrea", h)
+    rs = _gl11_mrea(h)
+    entries = reflection_matrix(build_superflip(1, 1, t), "mrea", h)
     for row in entries:
         for e in row:
-            if e is not None and not e.is_zero():
-                assert rules.reduce(e).is_zero()
-    # products of relations with generators also straighten to zero
+            if not e.is_zero():
+                assert is_zero_mod(e, rs)[0]
+    # products of relations with generators also reduce to zero
     g = NCPoly.generator(2, t, 1, 0)
-    some = next(e for row in entries for e in row if e is not None and not e.is_zero())
-    assert rules.reduce(some * g).is_zero()
-    assert rules.reduce(g * some).is_zero()
+    some = next(e for row in entries for e in row if not e.is_zero())
+    assert is_zero_mod(some * g, rs)[0]
+    assert is_zero_mod(g * some, rs)[0]
 
 
 def test_pbw_normal_form_rank_degree2():
-    # normal forms of all words of degree <= 2 span one dimension per ordered
-    # monomial: 8 in degree 2 (pairs a <= b minus the two odd squares),
-    # 4 in degree 1, 1 constant = 13; the kernel is the 8-dim relation slice
+    # normal forms of all words of degree <= 2 span one dimension per normal
+    # word: 8 in degree 2 (ordered pairs minus the two odd squares), 4 in
+    # degree 1, 1 constant = 13; the kernel is the 8-dim relation slice
     t = HT
     h = Scalar.from_symbol(t, "h")
-    rules = PBWRules(1, 1, h)
-    from braidorbit.linalg import RowSpace
-
+    rs = _gl11_mrea(h)
     words = [()] + [(g,) for g in range(4)] + [(a, b) for a in range(4) for b in range(4)]
     index = {}
-    rs = RowSpace()
+    span = RowSpace()
     for w in words:
-        x = NCPoly(2, t, {w: Scalar.one(t)})
-        red = rules.reduce(x)
+        _, red = is_zero_mod(NCPoly(2, t, {w: Scalar.one(t)}), rs)
         row = {}
         for nw, c in red.terms.items():
             row[index.setdefault(nw, len(index))] = c
-        rs.add(row)
-    assert rs.rank == 13
-    # and the normal forms only use ordered, non-odd-square words
+        span.add(row)
+    assert span.rank == 13
+    # and the normal forms only use normal words
     for w in index:
-        for i in range(len(w) - 1):
-            assert not rules.is_violation(w[i], w[i + 1])
+        assert w in rs.quotient.normal_words(len(w))
+
+
+SHIFT_ORACLE = {
+    "dj_gl(2,7/5)": lambda t: build_dj_gl(2, parse_scalar("7/5", t)),
+    "q_super(1,1,9/7)": lambda t: build_q_super(1, 1, parse_scalar("9/7", t)),
+    "q_super(2,1,9/7)": lambda t: build_q_super(2, 1, parse_scalar("9/7", t)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_ORACLE))
+def test_mrea_engine_matches_shift_oracle(name):
+    # at q != 1, l -> l + h/(q - 1/q) maps the modified algebra onto the
+    # plain one: the filtered engine must give the verdict of that shift
+    # followed by the graded engine, on ideal elements sum u r v and on
+    # ideal elements plus random words
+    t = HT
+    h = Scalar.from_symbol(t, "h")
+    hs = SHIFT_ORACLE[name](t)
+    mrea = relation_space(hs, "mrea", h=h)
+    plain = relation_space(hs, "minus")
+    shift = h * (hs.q - hs.q.inv()).inv()
+    letters = hs.N * hs.N
+    top = 4 if hs.N == 2 else 3
+    relations = [e for e in mrea.relations if not e.is_zero()]
+    rng = random.Random(name)
+
+    def word(length):
+        return NCPoly(hs.N, t, {tuple(rng.randrange(letters) for _ in range(length)):
+                                Scalar.one(t)})
+
+    verdicts = []
+    for trial in range(20):
+        x = NCPoly.zero(hs.N, t)
+        for _ in range(2):
+            left = rng.randrange(top - 1)
+            r = rng.choice(relations).scale(rng.randint(-3, 3))
+            x = x + word(left) * r * word(rng.randrange(top - 1 - left))
+        if trial % 2:
+            for _ in range(2):
+                x = x + word(rng.randrange(top + 1)).scale(rng.randint(1, 5))
+        ok, _ = is_zero_mod(x, mrea)
+        assert ok == is_zero_mod(shift_generators(x, shift), plain)[0]
+        verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_mrea_dims_at_q1_match_rea(m, n):
+    # the h-scaled enveloping algebra of gl(m|n) is a PBW deformation of the
+    # graded-flip REA: the filtered engine raises no obstruction and finds
+    # as many normal words in each degree
+    h = Scalar.from_symbol(HT, "h")
+    hs = build_superflip(m, n, HT)
+    assert (relation_space(hs, "mrea", h=h).quotient.dims(4)
+            == relation_space(hs, "minus").quotient.dims(4))
 
 
 def test_complementarity_larger_builtins():
@@ -284,14 +352,13 @@ def test_complementarity_larger_builtins():
 
 def test_gl11_shifted_ch_reduces_via_straightening():
     # the degree-3 Cayley-Hamilton identity of the shifted algebra, taken to
-    # q = 1 wordwise (every coefficient has a finite limit), straightens to 0
+    # q = 1 wordwise (every coefficient has a finite limit), reduces to 0
     # in the h-scaled enveloping algebra of gl(1|1)
     t = SymbolTable(["q", "h"])
     q = Scalar.from_symbol(t, "q")
     h = Scalar.from_symbol(t, "h")
     hs = build_q_super(1, 1, q)
-    from braidorbit.rea import ch_polynomial_entries
-
+    rs = _gl11_mrea(h)
     entries = ch_polynomial_entries(hs, 1, 1)
     xi = q - q.inv()
     shift = -(h * xi.inv())
@@ -299,26 +366,25 @@ def test_gl11_shifted_ch_reduces_via_straightening():
     for e in entries:
         shifted = shift_generators(e, shift)
         at_q1 = shifted.map_coeffs(lambda c: c.substitute({"q": 1}))
-        nf = super_pbw_reduce(at_q1, 1, 1, h)
-        assert nf.is_zero(), nf
+        ok, nf = is_zero_mod(at_q1, rs)
+        assert ok, nf
         reduced_any = reduced_any or not e.is_zero()
     assert reduced_any
 
 
 def test_mrea_shift_and_pbw_agree_on_centrality():
-    # the same low-degree statement holds through both zero-test routes:
-    # shift route at generic q, straightening route at q = 1
+    # the same low-degree statement holds in the modified algebra at generic
+    # q and at q = 1
     t = SymbolTable(["h"])
     h = Scalar.from_symbol(t, "h")
     hs_q = build_q_super(1, 1, parse_scalar("9/7", t))
     rs = relation_space(hs_q, "mrea", h=h)
     p1 = power_sum_element(1, hs_q)
     g = NCPoly.generator(2, t, 0, 1)
-    ok_shift, _ = is_zero_mod(p1 * g - g * p1, rs)
-    hs_1 = build_superflip(1, 1, t)
-    p1c = power_sum_element(1, hs_1)
-    nf = super_pbw_reduce(p1c * g - g * p1c, 1, 1, h)
-    assert ok_shift and nf.is_zero()
+    ok_q, _ = is_zero_mod(p1 * g - g * p1, rs)
+    p1c = power_sum_element(1, build_superflip(1, 1, t))
+    ok_1, _ = is_zero_mod(p1c * g - g * p1c, _gl11_mrea(h))
+    assert ok_q and ok_1
 
 
 def test_ch_verify_reports_slow_path_flag():
