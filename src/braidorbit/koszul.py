@@ -34,6 +34,7 @@ cofactors, identical to the gradient-matrix columns of the orbit machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -253,7 +254,8 @@ class ProjectorSet:
     """The symmetrizer operators of one symmetry that checks apply to vectors.
 
     P+(3) is never formed: ``apply_p3_plus`` evaluates it on a vector as a
-    chain of mat-vecs with P+1 and P+2.
+    chain of mat-vecs with P+1 and P+2.  The hatted bases are built on first
+    read: only ``conjecture1_check`` reads one, when a vector equality fails.
     """
 
     hs: HeckeSymmetry
@@ -265,8 +267,14 @@ class ProjectorSet:
     axioms: list               # rows of symmetrizer_certificate
     ia_vec: dict               # hatted vector of R1 R2 R1 + R1 + R2
     ib_vec: dict               # hatted vector of R1 R2 + R2 R1 - xi (R1 + R2)
-    basis2: HattedBasis
-    basis3: HattedBasis
+
+    @cached_property
+    def basis2(self) -> HattedBasis:
+        return HattedBasis.build(self.hs, 2)
+
+    @cached_property
+    def basis3(self) -> HattedBasis:
+        return HattedBasis.build(self.hs, 3)
 
     def apply_p3_plus(self, v: dict) -> dict:
         """lead (P1 P2 P1 P2 P1 - a P1 P2 P1 + b P1) v, by five mat-vecs."""
@@ -315,8 +323,6 @@ def build_projectors(hs: HeckeSymmetry) -> ProjectorSet:
         axioms=axioms,
         ia_vec=vec_from_structure(ia, hs),
         ib_vec=vec_from_structure(ib, hs),
-        basis2=HattedBasis.build(hs, 2),
-        basis3=HattedBasis.build(hs, 3),
     )
 
 
@@ -374,16 +380,15 @@ def conjecture1_check(k: int, hs: HeckeSymmetry,
     if k == 2:
         v = trace_vector(2, hs)
         residual = _vec_sub(ps.p2_plus.apply(v), v)
-        basis = ps.basis2
     else:
         v = trace_vector(3, hs)
         residual = _vec_sub(ps.apply_p3_plus(v), ps.p2_plus_pos2.apply(v))
-        basis = ps.basis3
     vector_equal = not residual
     if vector_equal:
         quotient_zero = True
     else:
         rs = relation_space(hs, "minus")
+        basis = ps.basis2 if k == 2 else ps.basis3
         quotient_zero, _ = is_zero_mod(basis.to_standard(residual), rs)
     ok = quotient_zero
     report = {"k": k, "vector_equality": vector_equal,

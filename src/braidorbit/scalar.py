@@ -27,8 +27,11 @@ Exact division is one grlex pass over a max-heap of packed monomials, so
 the remainder is never rescanned; by Gauss's lemma a primitive divisor
 divides exactly when the quotient is integral, so the first leading
 coefficient that does not divide ends the pass with no quotient.  The
-multivariate gcd uses recursive content/primitive-part decomposition with
-Brown's subresultant pseudo-remainder sequence, all of it in Z[x], so no
+multivariate gcd is a heuristic gcd with a division certificate: it
+evaluates at large integers, reads a candidate back from the digits of an
+integer gcd and accepts it only when it divides both inputs exactly.  Its
+fallback is recursive content/primitive-part decomposition with Brown's
+subresultant pseudo-remainder sequence.  All of it runs in Z[x], so no
 factorization is ever required.  ``FactoredRational`` is a companion
 representation for pipelines whose denominators are products of known
 irreducible factors (eigenvalue differences, cyclotomic polynomials in q);
@@ -696,8 +699,95 @@ def _subresultant_last(f: dict, g: dict) -> dict:
     return last
 
 
+def _zeval(P: dict, var: int, xi: int) -> dict:
+    """P with the variable `var` set to the integer xi, without zero terms."""
+    out: dict = {}
+    get = out.get
+    powers = {}
+    for e, c in P.items():
+        k = e[var]
+        if k:
+            p = powers.get(k)
+            if p is None:
+                p = powers[k] = xi ** k
+            c *= p
+            e = e[:var] + (0,) + e[var + 1:]
+        out[e] = get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _zdigits(P: dict, var: int, xi: int) -> dict:
+    """The polynomial whose coefficients in `var` are the symmetric xi-adic
+    digits of P's coefficients (P free of `var`): digit i of c, taken in
+    (-xi/2, xi/2], becomes the coefficient of var^i."""
+    half = xi // 2
+    out = {}
+    for e, c in P.items():
+        i = 0
+        while c:
+            c, d = divmod(c, xi)
+            if d > half:
+                d -= xi
+                c += 1
+            if d:
+                out[e[:var] + (i,) + e[var + 1:]] = d
+            i += 1
+    return out
+
+
+_HEU_TRIES = 6
+
+
+def _heu_gcd(f: dict, g: dict) -> Optional[dict]:
+    """gcd of nonzero integral f, g, integer content included, or None.
+
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
+    1989).  With the common integer content c taken out, one occurring
+    variable is set to an integer xi >= 2*min(|f|_inf, |g|_inf) + 2, the
+    gcd of the two images is computed by recursion on the other variables
+    (down to an integer gcd), and a candidate is read back from its
+    symmetric xi-adic digits.  Under that bound on xi, the primitive part P
+    of the candidate G is gcd(f/c, g/c) as soon as it divides both: the gcd
+    is P*k, and k(xi) divides the content of G, which is at most xi/2, while
+    a k of positive degree would have |k(xi)| > xi/2 by Cauchy's root bound.
+    The exact division ``_zdiv`` is the certificate, so an accepted result
+    is exact.  A candidate that fails it makes xi grow, and None after
+    _HEU_TRIES values of xi (or a failed inner level) leaves the gcd to the
+    caller.
+    """
+    c = int_gcd(int_gcd(*f.values()), int_gcd(*g.values()))
+    if _zis_const(f) or _zis_const(g):
+        return {(0,) * len(next(iter(f))): c}
+    if c != 1:
+        f = {e: v // c for e, v in f.items()}
+        g = {e: v // c for e, v in g.items()}
+    var = min(i for e in chain(f, g) for i, x in enumerate(e) if x)
+    # 27 above the bound: a small xi is often unlucky (the cofactors' images
+    # share a factor), and every retry costs an inner gcd
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        fx = _zeval(f, var, xi)
+        gx = _zeval(g, var, xi)
+        if fx and gx:
+            hx = _heu_gcd(fx, gx)
+            if hx is None:
+                return None
+            h = _zprimitive(_zdigits(hx, var, xi))
+            # a constant candidate is 1, which divides everything
+            if _zis_const(h) or (_zdiv(f, h) is not None and _zdiv(g, h) is not None):
+                return h if c == 1 else {e: v * c for e, v in h.items()}
+        # a ratio that is not an integer, so that xi does not keep the
+        # residues that made the last one unlucky
+        xi = xi * 11 // 4 + 1
+    return None
+
+
 def _zgcd(f: dict, g: dict) -> dict:
-    """Primitive gcd of nonzero integral f, g, with positive leading coefficient."""
+    """Primitive gcd of nonzero integral f, g, with positive leading coefficient.
+
+    After the cheap exits, the heuristic ``_heu_gcd`` runs first; the
+    content/subresultant recursion below is its fallback.
+    """
     if _zis_const(f) or _zis_const(g):
         return _zone(f)
     # shared monomial content comes out directly (q-power denominators are
@@ -718,6 +808,9 @@ def _zgcd(f: dict, g: dict) -> dict:
     g = _zprimitive(g)
     if f == g:
         return f
+    h = _heu_gcd(f, g)
+    if h is not None:
+        return h
     var = min(common, key=lambda v: max(e[v] for e in f) + max(e[v] for e in g))
     fu = _to_univariate(f, var)
     gu = _to_univariate(g, var)
@@ -739,9 +832,17 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Primitive gcd over Q[x...]: integer coefficients, gcd 1, positive leading.
 
     Over Q the gcd is fixed up to a constant, so both inputs are cleared to
-    integral polynomials and the whole recursion (contents, primitive parts,
-    Brown's subresultant chain) runs in Z[x] on ints; every division in it
-    is exact there.  Fractions are built once, for the result.
+    integral polynomials and the gcd runs in Z[x] on ints.  It is first the
+    heuristic gcd of Char, Geddes and Gonnet (``_heu_gcd``): one variable is
+    set to an integer xi >= 2*min(|f|_inf, |g|_inf) + 2, the images' gcd is
+    found by recursion down to an integer gcd, and its symmetric xi-adic
+    digits give a candidate.  By their theorem (Geddes, Czapor and Labahn,
+    Algorithms for Computer Algebra, 1992, sec. 7.7), under that bound the
+    primitive part of a candidate that divides both inputs is their gcd;
+    the exact division is checked, so the result is exact.  When no
+    candidate passes, the content/subresultant recursion (Brown's chain),
+    whose divisions are all exact in Z[x], gives the gcd.  Fractions are
+    built once, for the result.
     """
     table = f.table
     if f.is_zero() and g.is_zero():

@@ -173,6 +173,23 @@ def test_conjecture1_small():
         assert ok3 and rep3["quotient_zero"]
 
 
+def test_hatted_bases_built_only_for_a_failed_vector_equality(monkeypatch):
+    built = []
+    exact = HattedBasis.build
+    monkeypatch.setattr(HattedBasis, "build",
+                        staticmethod(lambda hs, arity: built.append(arity) or exact(hs, arity)))
+    flip = build_flip(2)
+    ps = build_projectors(flip)
+    assert conjecture1_check(2, flip, ps)[0] and conjecture1_check(3, flip, ps)[0]
+    assert built == []
+    hs = build_dj_gl(2, qc("7/5"))
+    ps = build_projectors(hs)
+    for _ in range(2):
+        ok3, rep3 = conjecture1_check(3, hs, ps)
+        assert ok3 and not rep3["vector_equality"]
+    assert built == [3]
+
+
 def test_conjecture1_involutive_on_the_nose():
     # for involutive symmetries even the lifts agree as coefficient vectors
     ps = build_projectors(build_flip(2))

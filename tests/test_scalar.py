@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidorbit import cli, hecke
+from braidorbit import cli, hecke, scalar
 from braidorbit.errors import (
     DivisionByZero,
     ParseError,
@@ -270,6 +270,95 @@ def test_poly_gcd_primitive_and_cofactors_coprime():
             cf, cg = poly_div_exact(f, d), poly_div_exact(g, d)
             assert cf is not None and cg is not None
             assert poly_gcd(cf, cg) == Poly.const(t, 1)
+
+
+def _subresultant_gcd(monkeypatch, f, g):
+    """``_zgcd`` with the heuristic given no tries: the content/subresultant route."""
+    with monkeypatch.context() as m:
+        m.setattr(scalar, "_HEU_TRIES", 0)
+        return scalar._zgcd(f, g)
+
+
+def _random_zpoly(rng, width, nterms, height=4, degree=2):
+    P = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, degree) for _ in range(width))
+        P[e] = P.get(e, 0) + rng.choice([-1, 1]) * rng.randint(1, height)
+    return {e: c for e, c in P.items() if c}
+
+
+def test_heuristic_gcd_matches_subresultant_route(monkeypatch):
+    """The heuristic gcd and the subresultant route give the same primitive gcd,
+    with a positive grlex-leading coefficient, and the heuristic keeps the
+    common integer content."""
+    rng = random.Random(1989)
+    pairs = [
+        # the first xi, 35, is where x^2 - 3 and 4x^2 + x take the values
+        # 1222 and 4935, which share 47; its digits give x + 12, which
+        # divides neither, so only the division check rejects it
+        ({(2,): 1, (0,): -3}, {(2,): 4, (1,): 1}),
+        # x^2 - 2x and x - 2: at xi = 4, below 2*2 + 2, the images 8 and 2
+        # read back as the constant 2, so the gcd x - 2 is missed
+        ({(2,): 1, (1,): -2}, {(1,): 1, (0,): -2}),
+    ]
+    for width in range(1, 5):
+        for kind in ("planted", "coprime", "monomial", "content", "negative"):
+            for _ in range(6):
+                a, b, c = (_random_zpoly(rng, width, rng.randint(1, 3)) for _ in range(3))
+                if not (a and b and c):
+                    continue
+                if kind == "coprime":
+                    c = {(0,) * width: 1}
+                f, g = _zmul(a, c), _zmul(b, c)
+                if kind == "monomial":
+                    shared = tuple(rng.randint(0, 2) for _ in range(width))
+                    f = _zmul(f, {tuple(x + rng.randint(0, 1) for x in shared): 1})
+                    g = _zmul(g, {shared: 1})
+                elif kind == "content":
+                    f = {e: 6 * v for e, v in f.items()}
+                    g = {e: -15 * v for e, v in g.items()}
+                elif kind == "negative":
+                    f = {e: -v for e, v in f.items()}
+                    if f[max(f, key=scalar._mono_key)] > 0:
+                        continue
+                if f and g:
+                    pairs.append((f, g))
+    assert len(pairs) > 100
+    for f, g in pairs:
+        expected = _subresultant_gcd(monkeypatch, f, g)
+        assert math.gcd(*expected.values()) == 1
+        assert expected[max(expected, key=scalar._mono_key)] > 0
+        h = scalar._heu_gcd(f, g)
+        assert h is not None
+        assert math.gcd(*h.values()) == math.gcd(*f.values(), *g.values())
+        assert scalar._zprimitive(h) == expected
+        assert scalar._zgcd(f, g) == expected
+
+
+def test_heuristic_gcd_first_candidate_fails_the_certificate():
+    """x^2 - 3 and 4x^2 + x are coprime, but the candidate read back at the
+    first xi is x + 12; only the exact division rejects it."""
+    f, g = {(2,): 1, (0,): -3}, {(2,): 4, (1,): 1}
+    xi = 2 * 3 + 29
+    image = math.gcd(scalar._zeval(f, 0, xi)[(0,)], scalar._zeval(g, 0, xi)[(0,)])
+    candidate = scalar._zdigits({(0,): image}, 0, xi)
+    assert (image, candidate) == (47, {(1,): 1, (0,): 12})
+    assert scalar._zdiv(f, candidate) is None
+    assert scalar._heu_gcd(f, g) == {(0,): 1}
+
+
+def test_poly_gcd_unchanged_when_the_heuristic_falls_back(monkeypatch):
+    t = SymbolTable(["q", "h", "mu1"])
+    texts = ["(q*mu1 - h)^2*(q^2 + 1)", "(q*mu1 - h)*(q^2 + 1)*(mu1 + 2*h)/3",
+             "q^3*(mu1 - 1)*(h + 5)", "-2*q^2*(h + 5)*(q - mu1)"]
+    polys = [parse_scalar(text, t).num for text in texts]
+    heuristic = [poly_gcd(a, b) for a in polys for b in polys]
+    with monkeypatch.context() as m:
+        m.setattr(scalar, "_HEU_TRIES", 0)
+        assert scalar._heu_gcd(_int_form(polys[0])[0], _int_form(polys[1])[0]) is None
+        fallback = [poly_gcd(a, b) for a in polys for b in polys]
+    assert fallback == heuristic
+    assert heuristic[1] == parse_scalar("(q*mu1 - h)*(q^2 + 1)", t).num
 
 
 def _schoolbook_mul(a, b):
