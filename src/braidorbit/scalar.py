@@ -16,13 +16,14 @@ pinned down once and used everywhere:
   denominator normalized to leading coefficient 1 under that order.  The
   invariant is: a ``Scalar`` is constant exactly when it carries the ints.
 
-``Poly`` holds ``Fraction`` coefficients, but products, powers, exact
-division and the gcd run in an integer kernel: a ``Poly`` is cleared once
-to an integral polynomial, {exponent tuple: int}, over a common
-denominator; that form is cached on the ``Poly``, and each result is
-converted back to ``Fraction``s once.  Products and powers pack each
-monomial into one int in a base above every exponent of the result, so a
-product monomial is a sum of two keys and no term pair builds a tuple.
+A ``Poly`` is stored cleared: an integral polynomial, {exponent tuple:
+int}, over one positive int denominator coprime to its content, so equal
+polynomials store equal pairs.  Sums, products, powers, exact division and
+the gcd all run on those ints, in an integer kernel, and ``Fraction``
+coefficients are built only when ``terms`` is read (printing, evaluation,
+substitution).  Products and powers pack each monomial into one int in a
+base above every exponent of the result, so a product monomial is a sum of
+two keys and no term pair builds a tuple.
 Exact division is one grlex pass over a max-heap of packed monomials, so
 the remainder is never rescanned; by Gauss's lemma a primitive divisor
 divides exactly when the quotient is integral, so the first leading
@@ -61,7 +62,6 @@ from .errors import (
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SymbolTable:
@@ -131,37 +131,50 @@ def _mono_key(exps: tuple) -> tuple:
 class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
-    Immutable; ``terms`` maps exponent tuples (one entry per table symbol)
-    to nonzero ``Fraction`` coefficients.  ``_zform`` caches the cleared
-    form (P, d) of ``_int_form`` once the integer kernel has needed it.
+    Immutable, and stored cleared: p = _P/_d, where ``_P`` maps exponent
+    tuples (one entry per table symbol) to nonzero ints and the int
+    ``_d > 0`` is coprime to the content of ``_P``.  That pair is unique, so
+    equality is syntactic, and all arithmetic runs on it.  ``terms``, the
+    {exponent tuple: Fraction} view, is built only when it is read.
     """
 
-    __slots__ = ("table", "terms", "_hash", "_zform")
+    __slots__ = ("table", "_P", "_d", "_terms", "_hash")
 
-    def __init__(self, table: SymbolTable, terms: Mapping[tuple, Fraction]):
-        self.table = table
-        self.terms = {e: c for e, c in terms.items() if c}
-        self._hash = None
-        self._zform = None
+    def __new__(cls, table: SymbolTable, terms: Mapping[tuple, Fraction]):
+        """The polynomial with these coefficients, cleared over their lcm."""
+        d = 1
+        for c in terms.values():
+            cd = c.denominator
+            if cd != 1:
+                d = d * cd // int_gcd(d, cd)
+        return _from_int(table, {e: c.numerator * (d // c.denominator)
+                                 for e, c in terms.items() if c}, d)
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: nonzero Fraction}, built on first read."""
+        if self._terms is None:
+            d = self._d
+            self._terms = {e: Fraction(c, d) for e, c in self._P.items()}
+        return self._terms
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero(table: SymbolTable) -> "Poly":
-        return Poly(table, {})
+        return _from_int(table, {}, 1)
 
     @staticmethod
     def const(table: SymbolTable, value) -> "Poly":
-        value = Fraction(value)
-        if not value:
-            return Poly(table, {})
-        return Poly(table, {(0,) * len(table): value})
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _from_int(table, {(0,) * len(table): value.numerator} if value else {},
+                         value.denominator)
 
     @staticmethod
     def symbol(table: SymbolTable, name: str) -> "Poly":
         i = table.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(table)))
-        return Poly(table, {exps: _ONE})
+        return _from_int(table, {tuple(1 if j == i else 0 for j in range(len(table))): 1}, 1)
 
     def lift(self, table: SymbolTable) -> "Poly":
         """Re-express over another table containing all used symbols."""
@@ -169,34 +182,36 @@ class Poly:
             return self
         mapping = [(i, table.index(self.table.names[i])) for i in sorted(self.variables())]
         width = len(table)
-        terms = {}
-        for e, c in self.terms.items():
+        P = {}
+        for e, c in self._P.items():
             ne = [0] * width
             for i, pos in mapping:
                 ne[pos] = e[i]
-            terms[tuple(ne)] = c
-        return Poly(table, terms)
+            P[tuple(ne)] = c
+        return _from_int(table, P, self._d)
 
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._P
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
+        P = self._P
+        return not P or (len(P) == 1 and not any(next(iter(P))))
 
     def const_or_none(self) -> Optional[Fraction]:
-        if not self.terms:
+        P = self._P
+        if not P:
             return _ZERO
-        if len(self.terms) == 1:
-            exps, coeff = next(iter(self.terms.items()))
-            if not any(exps):
-                return coeff
+        if len(P) == 1:
+            ((e, c),) = P.items()
+            if not any(e):
+                return Fraction(c, self._d)
         return None
 
     def variables(self) -> set:
         used = set()
-        for e in self.terms:
+        for e in self._P:
             for i, x in enumerate(e):
                 if x:
                     used.add(i)
@@ -204,10 +219,10 @@ class Poly:
 
     def leading(self) -> tuple:
         """(exponent tuple, coefficient) of the grlex-leading monomial."""
-        if not self.terms:
+        if not self._P:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_mono_key)
-        return e, self.terms[e]
+        e = max(self._P, key=_mono_key)
+        return e, Fraction(self._P[e], self._d)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -215,61 +230,65 @@ class Poly:
         if self.table is not other.table and self.table != other.table:
             raise ValueError("symbol tables differ")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other over the lcm of the two denominators."""
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
+        d, e = self._d, other._d
+        g = int_gcd(d, e)
+        u, v = e // g, sign * (d // g)
+        out = dict(self._P) if u == 1 else {k: c * u for k, c in self._P.items()}
+        get = out.get
+        for k, c in other._P.items():
+            c = get(k, 0) + c * v
+            if c:
+                out[k] = c
             else:
-                out.pop(e, None)
-        return Poly(self.table, out)
+                del out[k]
+        return _from_int(self.table, out, d * u)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.table, out)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.table, {e: -c for e, c in self.terms.items()})
+        return _from_int(self.table, {e: -c for e, c in self._P.items()}, self._d)
 
     def __mul__(self, other: "Poly") -> "Poly":
         """(P/d)(Q/e) = PQ/(de), with the product PQ taken in the integer kernel."""
         self._check(other)
-        if not self.terms or not other.terms:
-            return Poly(self.table, {})
-        P, d = _int_form(self)
-        Q, e = _int_form(other)
-        return _from_int(self.table, _zmul(P, Q), d * e)
+        if not self._P or not other._P:
+            return _from_int(self.table, {}, 1)
+        return _from_int(self.table, _zmul(self._P, other._P), self._d * other._d)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         if not c:
-            return Poly(self.table, {})
-        return Poly(self.table, {e: k * c for e, k in self.terms.items()})
+            return _from_int(self.table, {}, 1)
+        n = c.numerator
+        P = self._P if n == 1 else {e: k * n for e, k in self._P.items()}
+        return _from_int(self.table, P, self._d * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         """(P/d)^n = P^n/d^n, with the power taken in the integer kernel."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if not self.terms:
+        if not self._P:
             return Poly.const(self.table, 1) if n == 0 else self
-        P, d = _int_form(self)
-        return _from_int(self.table, _zpow(P, n), d ** n)
+        return _from_int(self.table, _zpow(self._P, n), self._d ** n)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.table == other.table and self.terms == other.terms
+        return (isinstance(other, Poly) and self.table == other.table
+                and self._d == other._d and self._P == other._P)
 
     def __hash__(self) -> int:
+        """hash((table, frozenset(terms.items()))); an int coefficient hashes
+        as the Fraction it equals, so over denominator 1 no Fraction is built."""
         if self._hash is None:
-            self._hash = hash((self.table, frozenset(self.terms.items())))
+            items = self._P.items() if self._d == 1 else self.terms.items()
+            self._hash = hash((self.table, frozenset(items)))
         return self._hash
 
     # -- evaluation -------------------------------------------------------
@@ -315,7 +334,7 @@ class Poly:
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._P:
             return "0"
         items = sorted(self.terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
         parts = []
@@ -348,44 +367,35 @@ class Poly:
 # the integer kernel: products, powers, exact division and the gcd
 # ---------------------------------------------------------------------------
 #
-# The kernel works on integer polynomials, dicts {exponent tuple: int}.  A
-# Poly enters it through _int_form, which clears it once and caches the
-# result on the Poly, and leaves it once, as Fractions, through _from_int.
-# No kernel function mutates a dict it receives: cached forms are shared.
+# The kernel works on integer polynomials, dicts {exponent tuple: int}: the
+# _P of a Poly is one, read as it is stored, and every result becomes a Poly
+# through _from_int.  No kernel function mutates a dict it receives: the
+# stored forms are shared.
+
+_new_object = object.__new__
 
 
 def _int_form(p: Poly) -> tuple[dict, int]:
     """(P, d) with p = P/d, P integral and d the lcm of p's denominators."""
-    form = p._zform
-    if form is None:
-        d = 1
-        for c in p.terms.values():
-            cd = c.denominator
-            if cd != 1:
-                d = d * cd // int_gcd(d, cd)
-        if d == 1:
-            form = {e: c.numerator for e, c in p.terms.items()}, 1
-        else:
-            form = {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
-        p._zform = form
-    return form
+    return p._P, p._d
 
 
 def _from_int(table: SymbolTable, P: dict, d: int) -> Poly:
-    """The Poly P/d (P integral without zero terms, d > 0), its cleared form cached.
+    """The Poly P/d (P integral without zero terms, d > 0); every Poly is made here.
 
-    The lcm of the denominators of c/d over P's coefficients c is d/g, with
-    g = gcd(d, content of P), so (P/g, d/g) is the form _int_form would give.
+    Dividing P and d by g = gcd(d, content of P) leaves d the lcm of the
+    denominators of p's coefficients, so the stored pair is canonical.
     """
-    if d == 1:
-        p = Poly(table, {e: Fraction(c) for e, c in P.items()})
-    else:
+    if d != 1:
         g = int_gcd(d, *P.values())
         if g != 1:
             P = {e: c // g for e, c in P.items()}
             d //= g
-        p = Poly(table, {e: Fraction(c, d) for e, c in P.items()})
-    p._zform = (P, d)
+    p = _new_object(Poly)
+    p.table = table
+    p._P = P
+    p._d = d
+    p._terms = p._hash = None
     return p
 
 
@@ -586,8 +596,8 @@ def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
     gc = g.const_or_none()
     if gc is not None:
         return f.scale(1 / gc)
-    F, d = _int_form(f)
-    G, dg = _int_form(g)
+    F, d = f._P, f._d
+    G, dg = g._P, g._d
     cg = int_gcd(*G.values())
     if cg != 1:
         G = {e: c // cg for e, c in G.items()}
@@ -604,9 +614,8 @@ def _int_content_normalized(p: Poly) -> tuple[Poly, Fraction]:
     """Split p = content * primitive with an integer-primitive, grlex-monic-sign part."""
     if p.is_zero():
         return p, _ZERO
-    P, d = _int_form(p)
-    g = _zcontent(P)
-    return _from_int(p.table, {e: c // g for e, c in P.items()}, 1), Fraction(g, d)
+    g = _zcontent(p._P)
+    return _from_int(p.table, {e: c // g for e, c in p._P.items()}, 1), Fraction(g, p._d)
 
 
 def _to_univariate(P: dict, var: int) -> dict:
@@ -853,14 +862,14 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return _int_content_normalized(f)[0]
     if f.is_constant() or g.is_constant():
         return Poly.const(table, 1)
-    return _from_int(table, _zgcd(_int_form(f)[0], _int_form(g)[0]), 1)
+    return _from_int(table, _zgcd(f._P, g._P), 1)
 
 
 def poly_lcm(f: Poly, g: Poly) -> Poly:
     if f.is_zero() or g.is_zero():
         return Poly.zero(f.table)
-    q = poly_div_exact(f * g, poly_gcd(f, g))
-    return _int_content_normalized(q)[0]
+    # f/gcd * g: the same lcm, from a smaller division
+    return _int_content_normalized(poly_div_exact(f, poly_gcd(f, g)) * g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1172,15 +1181,12 @@ class Scalar:
         if self._den.is_constant():
             return str(self._num)
         ns = str(self._num)
-        if len(self._num.terms) > 1:
+        if len(self._num._P) > 1:
             ns = f"({ns})"
         return f"{ns}/({self._den})"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-_new_object = object.__new__
 
 
 def _const(table: SymbolTable, n: int, d: int) -> Scalar:

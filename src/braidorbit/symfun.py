@@ -38,6 +38,7 @@ from .scalar import (
     Scalar,
     SymbolTable,
     _int_content_normalized,
+    _int_form,
     qnumber,
     qnumber_factors,
 )
@@ -612,10 +613,13 @@ def _profile_factored_data(profile: EigenvalueProfile):
         return profile._fr
 
     def is_bare(x: Scalar) -> bool:
-        return x.is_constant() or (x.den.is_constant() and
-                                   len(x.num.terms) == 1 and
-                                   sum(next(iter(x.num.terms))) == 1 and
-                                   set(x.num.terms.values()) == {Fraction(1)})
+        if x.is_constant():
+            return True
+        P, d = _int_form(x.num)
+        if not x.den.is_constant() or d != 1 or len(P) != 1:
+            return False
+        ((e, c),) = P.items()
+        return sum(e) == 1 and c == 1
 
     values = [*profile.mus, *profile.nus, profile.q, profile.h]
     if not all(map(is_bare, values)) or all(x.is_constant() for x in values):
@@ -658,9 +662,10 @@ def _fr_div_poly(fr: FactoredRational, den: Poly) -> FactoredRational:
     c = den.const_or_none()
     if c is not None:
         return fr.scale(Fraction(1) / c)
-    if len(den.terms) == 1:
-        ((exps, coeff),) = den.terms.items()
-        out = fr.scale(Fraction(1) / coeff)
+    P, d = _int_form(den)
+    if len(P) == 1:
+        ((exps, coeff),) = P.items()
+        out = fr.scale(Fraction(d, coeff))
         for i, e in enumerate(exps):
             if e:
                 out = out.div_factor(Poly.symbol(den.table, den.table.names[i]), e)

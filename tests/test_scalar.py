@@ -425,8 +425,9 @@ def test_poly_mul_pow_match_schoolbook():
 
 
 def test_cached_int_form_not_mutated():
-    """gcd, exact division, products and powers leave each operand's terms and
-    its cached cleared form as a fresh clearing gives them."""
+    """gcd, exact division, sums, products and powers leave each operand's
+    stored cleared form (_P, _d) unchanged, and every result's form is the
+    one a fresh clearing of its Fraction terms gives."""
     t = SymbolTable(["x", "y"])
     polys = [parse_scalar(text, t).num for text in (
         "2*x + 4*y", "x^2/3 - y/6 + 1/2", "6*x*y - 9", "x + y", "7/4")]
@@ -434,20 +435,103 @@ def test_cached_int_form_not_mutated():
     def fresh(p):
         return _int_form(Poly(p.table, p.terms))
 
-    snapshots = [dict(p.terms) for p in polys]
+    snapshots = [(dict(p._P), p._d) for p in polys]
     results = []
     for a in polys:
         for b in polys:
             prod = a * b
-            results += [prod, poly_gcd(a, b), poly_div_exact(prod, b),
-                        poly_div_exact(a, b), a ** 3]
+            results += [prod, a + b, a - b, -a, a.scale(Fraction(-3, 4)), poly_gcd(a, b),
+                        poly_div_exact(prod, b), poly_div_exact(a, b), a ** 3]
     for p, snap in zip(polys, snapshots):
-        assert p.terms == snap
-        assert p._zform is not None
-        assert p._zform == fresh(p)
+        assert (p._P, p._d) == snap
+        assert _int_form(p) == fresh(p)
     for r in results:
         if r is not None:
             assert _int_form(r) == fresh(r)
+
+
+def _ref_str(terms, names):
+    """The printed form of a {exponent tuple: Fraction} polynomial."""
+    parts = []
+    for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        c = terms[e]
+        mono = "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k)
+        coeff = "" if mono and abs(c) == 1 else str(abs(c))
+        parts.append(("-" if c < 0 else "+", "*".join(filter(None, (coeff, mono)))))
+    if not parts:
+        return "0"
+    text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def _ref_combine(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _random_ref_poly(rng, width):
+    """{exponent tuple: Fraction}: zero, a constant or up to four terms, with
+    negative coefficients and denominators up to and above 2^64."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return {}
+    big = [2 ** 64 + 13, 3 ** 45, (2 ** 61 - 1) * 2 ** 5, 2 ** 70 * 3]
+    terms = {}
+    for _ in range(1 if kind == 1 else rng.randint(1, 4)):
+        e = (0,) * width if kind == 1 else tuple(rng.randint(0, 2) for _ in range(width))
+        den = rng.choice([1, 1, 2, 3, 4, 6, rng.randint(1, 30), rng.choice(big)])
+        num = rng.choice([rng.randint(-12, 12), rng.choice(big) * rng.choice([-1, 1])])
+        if num:
+            terms[e] = Fraction(num, den)
+    return terms
+
+
+def test_poly_matches_fraction_dict_reference():
+    """Every Poly operation against plain {exponent tuple: Fraction} arithmetic,
+    in 1-3 variables, so that the stored cleared form stays canonical."""
+    rng = random.Random(2718)
+    tables = {w: SymbolTable(["x", "y", "z"][:w]) for w in (1, 2, 3)}
+
+    def check(p, ref):
+        assert p.terms == ref
+        assert p == Poly(p.table, ref)
+        assert hash(p) == hash((p.table, frozenset(ref.items())))
+        assert str(p) == _ref_str(ref, p.table.names)
+        assert p.is_zero() == (not ref)
+        unit = (0,) * len(p.table)
+        const = Fraction(0) if not ref else ref[unit] if list(ref) == [unit] else None
+        assert p.const_or_none() == const
+        if ref:
+            assert p.leading() == max(ref.items(), key=lambda t: (sum(t[0]), t[0]))
+
+    for _ in range(250):
+        width = rng.randint(1, 3)
+        t = tables[width]
+        ra, rb = _random_ref_poly(rng, width), _random_ref_poly(rng, width)
+        if rng.random() < 0.2:
+            rb = dict(ra)
+        a, b = Poly(t, ra), Poly(t, rb)
+        check(a, ra)
+        assert (a == b) == (ra == rb)
+        check(a + b, _ref_combine(ra, rb, 1))
+        check(a - b, _ref_combine(ra, rb, -1))
+        check(-a, {e: -c for e, c in ra.items()})
+        check(a * b, _schoolbook_mul(ra, rb))
+        n = rng.randint(0, 3)
+        check(a ** n, _schoolbook_pow(ra, n, width))
+        c = rng.choice([0, 1, -2, Fraction(-3, 4), Fraction(5, 2 ** 66 + 1), Fraction(2 ** 65, 7)])
+        check(a.scale(c), {e: v * c for e, v in ra.items() if v * c})
+        wide = SymbolTable(["w", *t.names, "v"])
+        check(a.lift(wide), {(0, *e, 0): c for e, c in ra.items()})
+        i = rng.randrange(width)
+        v = rng.choice([Fraction(0), Fraction(-1), Fraction(2, 3), Fraction(1, 2 ** 64 + 7)])
+        sub: dict = {}
+        for e, c in ra.items():
+            key = e[:i] + (0,) + e[i + 1:]
+            sub[key] = sub.get(key, 0) + c * v ** e[i]
+        check(a.substitute({t.names[i]: v}), {e: c for e, c in sub.items() if c})
 
 
 def test_cyclotomic_and_qnumber_factors():
@@ -704,14 +788,15 @@ def test_constant_int_pair_arithmetic():
 
 
 def test_numeric_q_pipeline_builds_no_poly(monkeypatch):
+    # every Poly is made by scalar._from_int, Poly(table, terms) included
     built = []
-    init = Poly.__init__
+    make = scalar._from_int
 
-    def counting_init(self, table, terms):
+    def counting_from_int(table, P, d):
         built.append(1)
-        init(self, table, terms)
+        return make(table, P, d)
 
-    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(scalar, "_from_int", counting_from_int)
     q = parse_scalar("7/5", EMPTY_TABLE)
     hs = hecke.build_builtin("dj_gl", N=3, q=q)
     assert all(hecke.validation_report(hs).values())
@@ -723,14 +808,15 @@ def test_numeric_q_pipeline_builds_no_poly(monkeypatch):
 
 
 def test_constant_det_and_factored_route_build_no_poly(monkeypatch):
+    # every Poly is made by scalar._from_int, Poly(table, terms) included
     built = []
-    init = Poly.__init__
+    make = scalar._from_int
 
-    def counting_init(self, table, terms):
+    def counting_from_int(table, P, d):
         built.append(1)
-        init(self, table, terms)
+        return make(table, P, d)
 
-    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(scalar, "_from_int", counting_from_int)
     m = MatrixS(EMPTY_TABLE, [[Scalar.from_fraction(EMPTY_TABLE, Fraction(a, b)) for a, b in row]
                               for row in [[(1, 2), (3, 1), (-2, 7)], [(5, 3), (1, 1), (4, 9)],
                                           [(2, 1), (-1, 5), (3, 4)]]])
