@@ -3,7 +3,6 @@ Cayley-Hamilton identities with quantum eigenvalues, and braided orbits."""
 
 from .scalar import (
     EMPTY_TABLE,
-    FactoredRational,
     Poly,
     Scalar,
     SymbolTable,
@@ -15,7 +14,6 @@ from .scalar import (
 
 __all__ = [
     "EMPTY_TABLE",
-    "FactoredRational",
     "Poly",
     "Scalar",
     "SymbolTable",

@@ -33,11 +33,7 @@ evaluates at large integers, reads a candidate back from the digits of an
 integer gcd and accepts it only when it divides both inputs exactly.  Its
 fallback is recursive content/primitive-part decomposition with Brown's
 subresultant pseudo-remainder sequence.  All of it runs in Z[x], so no
-factorization is ever required.  ``FactoredRational`` is a companion
-representation for pipelines whose denominators are products of known
-irreducible factors (eigenvalue differences, cyclotomic polynomials in q);
-cancellation there is exact trial division, which sidesteps general gcds on
-large intermediates.
+factorization is ever required.
 """
 
 from __future__ import annotations
@@ -1259,161 +1255,6 @@ def qnumber(k: int, q: Scalar) -> Scalar:
     for i in range(k):
         num = num + q ** (2 * i)
     return num / q ** (k - 1)
-
-
-_CYCLO_CACHE: dict = {}
-
-
-def cyclotomic(d: int, table: SymbolTable, name: str = "q") -> Poly:
-    """The d-th cyclotomic polynomial in the named symbol (irreducible over Q)."""
-    key = (d, table, name)
-    if key in _CYCLO_CACHE:
-        return _CYCLO_CACHE[key]
-    q = Poly.symbol(table, name)
-    power = Poly.const(table, 1)
-    for _ in range(d):
-        power = power * q
-    poly = power - Poly.const(table, 1)
-    for e in range(1, d):
-        if d % e == 0:
-            poly = poly_div_exact(poly, cyclotomic(e, table, name))
-    _CYCLO_CACHE[key] = poly
-    return poly
-
-
-def qnumber_factors(k: int, table: SymbolTable, name: str = "q") -> tuple[list[Poly], int]:
-    """k_q as (list of irreducible numerator factors, power of q in denominator).
-
-    k_q = prod(cyclotomic(d) for d | 2k, d not in {1, 2}) / q^(k-1).
-    """
-    factors = [cyclotomic(d, table, name) for d in range(3, 2 * k + 1)
-               if (2 * k) % d == 0]
-    return factors, k - 1
-
-
-# ---------------------------------------------------------------------------
-# FactoredRational: trial-division arithmetic for structured denominators
-# ---------------------------------------------------------------------------
-
-
-class FactoredRational:
-    """Fraction num / prod(f_i^e_i) whose denominator factors are irreducible.
-
-    The numerator is kept reduced against every factor (eager exact trial
-    division), so converting to a ``Scalar`` never needs a general gcd.  The
-    caller is responsible for supplying genuinely irreducible, non-constant
-    factors; under that contract the invariant gcd(num, den) = 1 holds.
-    """
-
-    __slots__ = ("num", "factors")
-
-    def __init__(self, num: Poly, factors: Optional[Mapping[Poly, int]] = None):
-        self.num = num
-        self.factors = dict(factors) if factors else {}
-        self._reduce(list(self.factors))
-
-    def _reduce(self, trial: Sequence[Poly]) -> None:
-        """Divide each factor in `trial` out of the numerator while it divides."""
-        if self.num.is_zero():
-            self.factors = {}
-            return
-        for f in trial:
-            mult = self.factors[f]
-            while mult > 0:
-                q = poly_div_exact(self.num, f)
-                if q is None:
-                    break
-                self.num = q
-                mult -= 1
-            if mult:
-                self.factors[f] = mult
-            else:
-                del self.factors[f]
-
-    @staticmethod
-    def _reduced(num: Poly, factors: dict, trial: Sequence[Poly]) -> "FactoredRational":
-        """num / factors, where only the factors in `trial` can divide num."""
-        out = FactoredRational.__new__(FactoredRational)
-        out.num = num
-        out.factors = factors
-        out._reduce(trial)
-        return out
-
-    @staticmethod
-    def const(table: SymbolTable, value) -> "FactoredRational":
-        return FactoredRational(Poly.const(table, value))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        factors = dict(self.factors)
-        for f, e in other.factors.items():
-            factors[f] = factors.get(f, 0) + e
-        # a factor of both operands divides neither numerator, so, being
-        # irreducible, not their product
-        return FactoredRational._reduced(
-            self.num * other.num, factors,
-            [f for f in factors if (f in self.factors) != (f in other.factors)])
-
-    def mul_poly(self, p: Poly) -> "FactoredRational":
-        """num*p / den, with p trial-divided before the product is formed.
-
-        Each factor f is irreducible and does not divide num, so f^j divides
-        num*p exactly when f^j divides p: dividing the factors out of p
-        alone leaves the same quotient as dividing them out of num*p.
-        """
-        out = FactoredRational._reduced(p, dict(self.factors), list(self.factors))
-        out.num = self.num * out.num
-        return out
-
-    def div_factor(self, f: Poly, mult: int = 1) -> "FactoredRational":
-        factors = dict(self.factors)
-        factors[f] = factors.get(f, 0) + mult
-        return FactoredRational._reduced(self.num, factors, [] if f in self.factors else [f])
-
-    def scale(self, c) -> "FactoredRational":
-        return FactoredRational._reduced(self.num.scale(c), dict(self.factors), [])
-
-    def __neg__(self) -> "FactoredRational":
-        return self.scale(-1)
-
-    def __add__(self, other: "FactoredRational") -> "FactoredRational":
-        """The sum over the lcm of the denominators; only factors with the same
-        exponent in both operands are trial-divided.  Any other factor f is
-        multiplied into one numerator only, and the other numerator is
-        reduced against f and multiplied only by irreducible factors not
-        associate to f; so f divides one summand but not the sum.
-        """
-        target: dict = dict(self.factors)
-        for f, e in other.factors.items():
-            if target.get(f, 0) < e:
-                target[f] = e
-        a_num = self.num
-        for f, e in target.items():
-            need = e - self.factors.get(f, 0)
-            for _ in range(need):
-                a_num = a_num * f
-        b_num = other.num
-        for f, e in target.items():
-            need = e - other.factors.get(f, 0)
-            for _ in range(need):
-                b_num = b_num * f
-        return FactoredRational._reduced(
-            a_num + b_num, target,
-            [f for f in target if self.factors.get(f) == other.factors.get(f)])
-
-    def __sub__(self, other: "FactoredRational") -> "FactoredRational":
-        return self + (-other)
-
-    def to_scalar(self) -> Scalar:
-        den = Poly.const(self.num.table, 1)
-        for f, e in self.factors.items():
-            den = den * f ** e
-        return Scalar._from_coprime(self.num, den)
-
-    def __repr__(self) -> str:
-        return f"FactoredRational({self.to_scalar()})"
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ elementary-generator route (Newton recursion on values, then the Jacobi-Trudi
 determinant on values).  That route computes the same evaluation homomorphism
 as expanding into the p-basis and substituting, but keeps intermediates small;
 both routes are exposed and their agreement is part of the test suite.
-For profiles whose eigenvalues are bare symbols, all cancellations are exact
-trial divisions against the known irreducible denominator factors.
 """
 
 from __future__ import annotations
@@ -33,14 +31,9 @@ from typing import Optional, Sequence
 
 from .errors import BadDeformationParameter, DegenerateProfile
 from .scalar import (
-    FactoredRational,
-    Poly,
     Scalar,
     SymbolTable,
-    _int_content_normalized,
-    _int_form,
     qnumber,
-    qnumber_factors,
 )
 
 
@@ -511,7 +504,6 @@ class EigenvalueProfile:
         self._dims: Optional[QuantumDims] = None
         self._pvals: dict = {}
         self._avals: list = []
-        self._fr: Optional[dict] = None
         allv = self.mus + self.nus
         if all(v.is_constant() for v in allv):
             for i in range(len(allv)):
@@ -600,137 +592,13 @@ def power_sum_param(k: int, profile: EigenvalueProfile) -> Scalar:
     return profile._pvals[k]
 
 
-# -- factored-arithmetic fast path for pure-symbol profiles -----------------
-
-
-def _profile_factored_data(profile: EigenvalueProfile):
-    """Quantum dimensions as FactoredRationals when eigenvalues are bare symbols.
-
-    A profile whose values are all constants has no factors to track, so it
-    takes the Scalar route, which stays on Fractions.
-    """
-    if profile._fr is not None:
-        return profile._fr
-
-    def is_bare(x: Scalar) -> bool:
-        if x.is_constant():
-            return True
-        P, d = _int_form(x.num)
-        if not x.den.is_constant() or d != 1 or len(P) != 1:
-            return False
-        ((e, c),) = P.items()
-        return sum(e) == 1 and c == 1
-
-    values = [*profile.mus, *profile.nus, profile.q, profile.h]
-    if not all(map(is_bare, values)) or all(x.is_constant() for x in values):
-        profile._fr = {}
-        return profile._fr
-
-    q = profile.q
-    dim_fr = []
-    for kind, nums, dens in _dim_factor_pairs(profile):
-        fr = _fr_mul(FactoredRational.const(profile.table, 1),
-                     q.inv() if kind == "even" else -q)
-        for f in nums:
-            # numerator factors may carry q-powers in their denominators
-            fr = _fr_mul(fr, f)
-        for f in dens:
-            if f.is_zero():
-                raise DegenerateProfile("coincident eigenvalues make a dimension singular")
-            c = f.const_or_none()
-            fr = fr.scale(1 / c) if c is not None else _fr_div_poly(fr, f.num).mul_poly(f.den)
-        dim_fr.append((kind, fr))
-    profile._fr = {"dims": dim_fr}
-    return profile._fr
-
-
-def _fr_mul(fr: FactoredRational, x: Scalar) -> FactoredRational:
-    """fr * x, where x is a constant or has a known-irreducible denominator."""
-    c = x.const_or_none()
-    if c is not None:
-        return fr.scale(c)
-    return _fr_div_poly(fr.mul_poly(x.num), x.den)
-
-
-def _fr_div_poly(fr: FactoredRational, den: Poly) -> FactoredRational:
-    """Divide by a polynomial made of known-irreducible content.
-
-    Constants are folded into the numerator; single-monomial denominators
-    split into symbol powers; anything else is normalized and must itself be
-    irreducible (differences of bare symbols, shifted differences).
-    """
-    c = den.const_or_none()
-    if c is not None:
-        return fr.scale(Fraction(1) / c)
-    P, d = _int_form(den)
-    if len(P) == 1:
-        ((exps, coeff),) = P.items()
-        out = fr.scale(Fraction(d, coeff))
-        for i, e in enumerate(exps):
-            if e:
-                out = out.div_factor(Poly.symbol(den.table, den.table.names[i]), e)
-        return out
-    prim, cont = _int_content_normalized(den)
-    return fr.scale(Fraction(1) / cont).div_factor(prim)
-
-
-def _power_sum_fr(k: int, profile: EigenvalueProfile) -> FactoredRational:
-    data = _profile_factored_data(profile)
-    table = profile.table
-    dims = data["dims"]
-    vals = profile.mus + profile.nus
-    acc = FactoredRational.const(table, 0)
-    for (kind, fr), v in zip(dims, vals):
-        c = v.const_or_none()
-        acc = acc + (fr.scale(c ** k) if c is not None else fr.mul_poly((v ** k).num))
-    return acc
-
-
-def _a_values_fr(profile: EigenvalueProfile, K: int) -> list:
-    """[a_0..a_K] of the parametrized alphabet via the Newton recursion,
-    with all cancellations performed by exact trial division."""
-    table = profile.table
-    q = profile.q
-    data = _profile_factored_data(profile)
-    if not data:
-        raise ArithmeticError("factored route unavailable for this profile")
-    pvals = [_power_sum_fr(k, profile) for k in range(1, K + 1)]
-    avals = [FactoredRational.const(table, 1)]
-    for k in range(1, K + 1):
-        acc = FactoredRational.const(table, 0)
-        for r in range(k):
-            term = avals[r] * pvals[k - r - 1]
-            term = _fr_mul(term, (-q) ** r)
-            acc = acc + term
-        sign = 1 if k % 2 == 1 else -1
-        acc = acc.scale(sign)
-        # divide by k_q = prod(cyclotomics)/q^(k-1)
-        if q.is_constant():
-            kq = qnumber(k, q).as_fraction()
-            if not kq:
-                raise BadDeformationParameter(f"{k}_q = 0")
-            acc = acc.scale(Fraction(1, 1) / kq)
-        else:
-            cyclos, qpow = qnumber_factors(k, table)
-            for c in cyclos:
-                acc = acc.div_factor(c)
-            if qpow:
-                acc = acc.mul_poly(Poly.symbol(table, "q") ** qpow)
-        avals.append(acc)
-    return avals
-
-
 def a_values_param(profile: EigenvalueProfile, K: int) -> list:
     """[a_0(param)..a_K(param)] as Scalars."""
     if len(profile._avals) > K:
         return profile._avals[: K + 1]
-    data = _profile_factored_data(profile)
-    if data:
-        avals = [fr.to_scalar() for fr in _a_values_fr(profile, K)]
-    else:
-        ps = [power_sum_param(k, profile) for k in range(1, K + 1)]
-        avals = [Scalar.one(profile.table)] + newton_a_from_p(
-            ps, profile.q, Scalar.one(profile.table))
+    ps = [power_sum_param(k, profile) for k in range(1, K + 1)]
+    avals = [Scalar.one(profile.table)] + newton_a_from_p(
+        ps, profile.q, Scalar.one(profile.table))
     profile._avals = avals
     return avals
 

@@ -18,19 +18,16 @@ from braidorbit.linalg import MatrixS, det_bareiss
 from braidorbit.scalar import (
     EMPTY_TABLE,
     EXPONENT_CAP,
-    FactoredRational,
     Poly,
     Scalar,
     SymbolTable,
     _int_form,
     _zmul,
     _zpow,
-    cyclotomic,
     parse_scalar,
     poly_div_exact,
     poly_gcd,
     qnumber,
-    qnumber_factors,
 )
 
 Q = SymbolTable(["q"])
@@ -534,99 +531,6 @@ def test_poly_matches_fraction_dict_reference():
         check(a.substitute({t.names[i]: v}), {e: c for e, c in sub.items() if c})
 
 
-def test_cyclotomic_and_qnumber_factors():
-    phi4 = cyclotomic(4, Q)
-    assert phi4 == parse_scalar("q^2+1", Q).num
-    phi6 = cyclotomic(6, Q)
-    assert phi6 == parse_scalar("q^2-q+1", Q).num
-    q = Scalar.from_symbol(Q, "q")
-    for k in range(1, 7):
-        factors, qpow = qnumber_factors(k, Q)
-        prod = Scalar.one(Q)
-        for f in factors:
-            prod = prod * Scalar.make(f, Poly.const(Q, 1))
-        prod = prod / q ** qpow
-        assert prod == qnumber(k, q)
-
-
-def test_factored_rational_matches_scalar():
-    t = SymbolTable(["x", "y"])
-    x = Poly.symbol(t, "x")
-    y = Poly.symbol(t, "y")
-    diff = x - y
-    a = FactoredRational(x * x - y * y, {diff: 1})   # reduces to x+y
-    assert a.to_scalar() == parse_scalar("x+y", t)
-    b = FactoredRational(x, {diff: 1})
-    c = FactoredRational(y, {diff: 1})
-    assert (b - c).to_scalar() == Scalar.one(t)
-    prod = b * b
-    assert prod.to_scalar() == parse_scalar("x^2/((x-y)^2)", t) \
-        or prod.to_scalar() == parse_scalar("x^2", t) / parse_scalar("(x-y)^2", t)
-
-
-def test_factored_rational_random_against_scalar():
-    """Sums, products and new factors stay reduced and equal the Scalar result,
-    also when only some factors are trial-divided."""
-    rng = random.Random(12)
-    t = SymbolTable(["x", "y"])
-    x = Poly.symbol(t, "x")
-    y = Poly.symbol(t, "y")
-    one = Poly.const(t, 1)
-    irreducible = [x - y, x + y.scale(2), x, y + one, x * y + one]
-
-    def random_fr():
-        num = Poly.const(t, rng.randint(-3, 3)) + x.scale(rng.randint(-2, 2)) + y
-        for f in rng.sample(irreducible, rng.randint(0, 2)):
-            num = num * f
-        exps = {f: rng.randint(1, 2) for f in rng.sample(irreducible, rng.randint(0, 3))}
-        return FactoredRational(num, exps)
-
-    def check(fr, ref):
-        assert fr.to_scalar() == ref
-        for f in fr.factors:
-            assert poly_div_exact(fr.num, f) is None
-
-    values = [random_fr() for _ in range(12)]
-    for a in values:
-        check(a, a.to_scalar())
-        for f in irreducible[:3]:
-            check(a.div_factor(f, 2), a.to_scalar() / Scalar.make(f * f, one))
-        check(a.mul_poly(irreducible[0] * irreducible[3]),
-              a.to_scalar() * Scalar.make(irreducible[0] * irreducible[3], one))
-        for f in a.factors:
-            # same denominator, and f divides the sum of the numerators
-            c = FactoredRational(f * (x + one) - a.num, a.factors)
-            check(a + c, a.to_scalar() + c.to_scalar())
-        for b in values:
-            sa, sb = a.to_scalar(), b.to_scalar()
-            check(a + b, sa + sb)
-            check(a - b, sa - sb)
-            check(a * b, sa * sb)
-
-
-def test_factored_rational_mul_poly():
-    """p is trial-divided before the product: a factor at a higher power in p
-    than in the denominator, two shared factors, and a coprime p."""
-    t = SymbolTable(["x", "y"])
-    x = Poly.symbol(t, "x")
-    y = Poly.symbol(t, "y")
-    one = Poly.const(t, 1)
-    f, g, h = x - y, x + y.scale(2), y + one
-    base = FactoredRational((x * x + one).scale(Fraction(3, 5)), {f: 2, g: 1})
-    for p in (f ** 3 * h,                       # f^3 over f^2: f^1 is left in num
-              (f * g * h).scale(Fraction(7, 2)),  # shares f and g
-              x * y + one,                       # coprime
-              Poly.const(t, Fraction(-4, 3))):
-        out = base.mul_poly(p)
-        assert out.to_scalar() == base.to_scalar() * Scalar.make(p, one)
-        for factor in out.factors:
-            assert poly_div_exact(out.num, factor) is None
-    assert base.mul_poly(f ** 3 * h).factors == {g: 1}
-    assert base.mul_poly((f * g * h).scale(Fraction(7, 2))).factors == {f: 1}
-    assert base.mul_poly(x * y + one).factors == {f: 2, g: 1}
-    assert base.mul_poly(Poly.zero(t)).is_zero()
-
-
 def test_parser_round_trip_and_errors():
     text = "(3/2*q^2 - 1)/(q + 2)"
     v = sc(text)
@@ -807,7 +711,7 @@ def test_numeric_q_pipeline_builds_no_poly(monkeypatch):
     assert built
 
 
-def test_constant_det_and_factored_route_build_no_poly(monkeypatch):
+def test_constant_det_and_numeric_cotangent_build_no_poly(monkeypatch):
     # every Poly is made by scalar._from_int, Poly(table, terms) included
     built = []
     make = scalar._from_int

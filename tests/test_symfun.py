@@ -322,6 +322,32 @@ def test_vieta_checks_21():
     assert len(results) == 3
 
 
+def test_bare_symbol_profiles_specialize_to_numeric_profiles():
+    """Power sums and a-values of bare-symbol profiles, at h = 0 and at a
+    symbolic h, equal the values of the numeric profile at random rational
+    points; the Vieta identities hold where they apply (h = 0)."""
+    rng = random.Random(15)
+    for m, n in [(2, 1), (1, 2), (3, 0)]:
+        for with_h in (False, True):
+            prof = sym_profile(m, n, with_h)
+            ps = [power_sum_param(k, prof) for k in range(5)]
+            avals = a_values_param(prof, 4)
+            for _ in range(3):
+                point: dict = {}
+                while len(set(point.values())) < len(prof.table.names):
+                    point = {name: Fraction(rng.randint(1, 30), rng.randint(1, 30))
+                             for name in prof.table.names}
+                ref = num_profile([point[f"mu{i}"] for i in range(1, m + 1)],
+                                  [point[f"nu{j}"] for j in range(1, n + 1)],
+                                  point["q"], point.get("h"))
+                assert [p.evaluate(point) for p in ps] == \
+                    [power_sum_param(k, ref).as_fraction() for k in range(5)], (m, n, with_h)
+                assert [a.evaluate(point) for a in avals] == \
+                    [a.as_fraction() for a in a_values_param(ref, 4)], (m, n, with_h)
+            if not with_h:
+                assert all(ok for _, ok in vieta_checks(prof)), (m, n)
+
+
 def test_p0_param_equals_quantum_trace_of_identity():
     # the parametrized p_0 = sum d + sum d' is a constant rational function
     # equal to Tr C of any symmetry with the matching bi-rank
