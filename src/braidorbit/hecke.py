@@ -4,8 +4,9 @@ A Hecke symmetry is an invertible operator R on V (x) V satisfying the braid
 form of the Yang-Baxter equation R12 R23 R12 = R23 R12 R23 together with the
 quadratic relation (qI - R)(q^-1 I + R) = 0.  Construction always validates:
 both residuals must vanish exactly, and the skew inverse Psi (the solution of
-Tr_2 R12 Psi23 = sigma13) must exist.  The partial traces B = Tr_1 Psi and
-C = Tr_2 Psi of the skew inverse define the quantum trace Tr_R M = Tr(M C).
+Tr_2 R12 Psi23 = sigma13, the reindexed inverse of R's partial transpose) must
+exist.  The partial traces B = Tr_1 Psi and C = Tr_2 Psi of the skew inverse
+define the quantum trace Tr_R M = Tr(M C).
 
 Matrix convention: R and Psi are sparse ``TensorOp``s whose entries are
 stored operator-style, ``mat.rows[out][in]``, and
@@ -28,6 +29,7 @@ from .errors import (
     NotSkewInvertible,
     NotYangBaxter,
     ParseError,
+    SingularMatrix,
 )
 from .graded import GradedQuotient
 from .linalg import (
@@ -112,52 +114,39 @@ def skew_inverse_residual(R: TensorOp, psi: TensorOp) -> TensorOp:
 
 
 def solve_skew_inverse(R: TensorOp) -> TensorOp:
-    """Solve Tr_2 R12 Psi23 = sigma13 for Psi: a square N^4 linear system.
+    """Solve Tr_2 R12 Psi23 = sigma13 for Psi: R's partial transpose, inverted.
 
-    The equation of row (o1, o3, i1, i3) reads
-    sum_{t,m} R[(o1,t)][(i1,m)] Psi[(m,o3)][(t,i3)] = [o1 = i3][o3 = i1],
-    so each stored entry of R contributes one coefficient to N^2 rows.
-    `validate` bounds its size before anything is built.
+    The equation of index (o1, o3, i1, i3) reads
+    sum_{t,m} R[(o1,t)][(i1,m)] Psi[(m,o3)][(t,i3)] = [o1 = i3][o3 = i1].
+    With the partial transpose M[(o1,i1)][(m,t)] = R[(o1,t)][(i1,m)] this is
+    M X = I for X[(m,t)][(i3,o3)] = Psi[(m,o3)][(t,i3)], so Psi exists exactly
+    when M is invertible, and it is M^-1 reindexed.
     """
     N = R.N
     table = R.table
-    naug = N ** 4
-    # stored entries of R grouped by (o1, i1): [(t, m, coefficient)]
-    by_pair: dict = {}
+    m_rows: dict = {}
     for r, row in R.mat.rows.items():
         o1, t = divmod(r, N)
         for c, coef in row.items():
             i1, m = divmod(c, N)
-            by_pair.setdefault((o1, i1), []).append((t, m, coef))
-    minus_one = -Scalar.one(table)
-    space = RowSpace()
-    for o1 in range(N):
-        for o3 in range(N):
-            for i1 in range(N):
-                # unknown index of Psi[(m,o3)][(t,i3)] is ((m*N + o3)*N + t)*N + i3
-                for i3 in range(N):
-                    row = {((m * N + o3) * N + t) * N + i3: coef
-                           for t, m, coef in by_pair.get((o1, i1), ())}
-                    if o1 == i3 and o3 == i1:
-                        row[naug] = minus_one
-                    space.add(row)
-    if naug in space.pivots:
-        raise NotSkewInvertible("skew-inverse system is inconsistent")
-    if len(space.pivots) < naug:
-        raise NotSkewInvertible("skew-inverse system is singular")
+            m_rows.setdefault(o1 * N + i1, {})[m * N + t] = coef
+    try:
+        inv = SparseMat(N * N, N * N, m_rows).inverse(Scalar.one(table))
+    except SingularMatrix:
+        raise NotSkewInvertible("partial transpose of R is singular") from None
     rows: dict = {}
-    for c, prow in space.pivots.items():
-        value = prow.get(naug)
-        if value is not None:
-            mo3, ti3 = divmod(c, N * N)
-            rows.setdefault(mo3, {})[ti3] = -value
+    for mt, row in inv.rows.items():
+        m, t = divmod(mt, N)
+        for i3o3, value in row.items():
+            i3, o3 = divmod(i3o3, N)
+            rows.setdefault(m * N + o3, {})[t * N + i3] = value
     return TensorOp(N, 2, SparseMat(N * N, N * N, rows), table)
 
 
 def validate(name: str, N: int, table: SymbolTable, q: Scalar, R: TensorOp) -> HeckeSymmetry:
-    # The skew-inverse system is the largest structure built here: a row only
-    # meets the N^2 unknowns sharing its (o3, i3), so elimination stores at
-    # most N^4 rows of N^2 + 1 entries.  Refuse before any residual is formed.
+    # Refuse before any residual is formed.  N^4 (N^2 + 1) entries bounded the
+    # former N^4-unknown skew-inverse system; the N^2 x N^2 inverse needs far
+    # fewer, but the bound is kept until a measurement replaces it.
     _check_alloc(N ** 4 * (N * N + 1))
     if not yang_baxter_residual(R).is_zero():
         raise NotYangBaxter(f"{name}: Yang-Baxter residual is nonzero")

@@ -5,9 +5,9 @@ Operators on tensor powers V^(tensor k) are sparse: ``TensorOp`` is a
 multi-index bookkeeping, and ``embed_at``, ``partial_trace`` and the products
 visit stored entries only.  The dense ``MatrixS`` is kept for the small dense
 work: N x N matrices such as the skew-inverse traces and Hankel matrices,
-with the fraction-free (Bareiss) determinant and the field inverse.
-Rank and membership problems (relation ideals, Poincare series, the
-skew-inverse system) run on ``RowSpace``, an incrementally maintained
+with the fraction-free (Bareiss) determinant.
+Rank and membership problems (relation ideals, Poincare series) and the
+sparse Gauss-Jordan inverse run on ``RowSpace``, an incrementally maintained
 reduced row echelon form.  The echelon basis of a span is unique, so
 residuals of reduction are canonical and independent of the order in which
 spanning vectors arrive.
@@ -215,6 +215,24 @@ class SparseMat:
                                             for j, a in arow.items()
                                             for l, b in brow.items()}
         return SparseMat(self.nrows * other.nrows, self.ncols * other.ncols, out)
+
+    def inverse(self, one) -> "SparseMat":
+        """Inverse of a square matrix by one Gauss-Jordan elimination.
+
+        The rows of [M | -I] span a space whose RREF basis is [I | -M^-1]
+        when M is invertible; otherwise a pivot falls in the right block.
+        `one` is the unit of the entries' field.
+        """
+        n = self.nrows
+        if n != self.ncols:
+            raise DimensionMismatch("inverse of non-square matrix")
+        space = RowSpace()
+        for i in range(n):
+            space.add({**self.rows.get(i, {}), n + i: -one})
+        if any(c >= n for c in space.pivots):
+            raise SingularMatrix("matrix is singular")
+        return SparseMat(n, n, {c: {j - n: -v for j, v in prow.items() if j != c}
+                                for c, prow in space.pivots.items()})
 
     def apply(self, vec: dict) -> dict:
         """Matrix-vector product on a sparse column vector {index: value}."""
@@ -464,16 +482,7 @@ def rowreduce(m: MatrixS) -> tuple[MatrixS, list, int, list]:
 
 
 def inverse(m: MatrixS) -> MatrixS:
-    if m.nrows != m.ncols:
-        raise DimensionMismatch("inverse of non-square matrix")
-    n = m.nrows
-    table = m.table
-    aug = MatrixS(table, [list(m.data[i]) + list(MatrixS.identity(table, n).data[i])
-                          for i in range(n)])
-    rref, pivots, _, _ = rowreduce(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    return MatrixS(table, [row[n:] for row in rref.data])
+    return SparseMat.from_dense(m).inverse(Scalar.one(m.table)).to_dense(m.table)
 
 
 class RowSpace:

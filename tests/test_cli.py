@@ -155,8 +155,8 @@ def test_huge_exponent_exits_3(capsys):
 
 
 def test_oversized_symmetry_exits_3(capsys):
-    # the skew-inverse system of dj_gl(40) could store 40^4 rows of 40^2 + 1
-    # entries; the build is refused before any operator is formed
+    # the entry bound of the former N^4-unknown skew-inverse system,
+    # 40^4 (40^2 + 1), refuses dj_gl(40) before any operator is formed
     start = time.monotonic()
     code = main(["check-r", "--builtin", "dj_gl", "--N", "40", "--q", "7/5"])
     assert code == 3

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from braidorbit import linalg
 from braidorbit.errors import (
     BadDeformationParameter,
     NotHecke,
+    NotSkewInvertible,
     NotYangBaxter,
     ParseError,
 )
@@ -22,6 +24,7 @@ from braidorbit.hecke import (
     hecke_residual,
     multitrace,
     rtrace,
+    solve_skew_inverse,
     validate,
     validation_report,
     yang_baxter_residual,
@@ -119,6 +122,57 @@ def test_superflip_psi_against_bruteforce_and_c():
     assert hs.c_op.data[0][0].as_fraction() == 1
     assert hs.c_op.data[1][1].as_fraction() == -1
     assert rtrace(MatrixS.identity(EMPTY_TABLE, 2), hs).as_fraction() == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_flip(3),
+    lambda: build_superflip(2, 1),
+    lambda: build_superflip(1, 2),
+    lambda: build_dj_gl(3, q_num("7/5")),
+    lambda: build_q_super(2, 1, q_num("9/7")),
+    lambda: build_q_super(1, 2, q_num("9/7")),
+], ids=["flip3", "superflip21", "superflip12", "dj_gl3", "q_super21", "q_super12"])
+def test_psi_against_bruteforce(build):
+    hs = build()
+    got = [[v.as_fraction() for v in row] for row in hs.psi.mat.to_dense(hs.table).data]
+    assert got == _brute_force_psi(hs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda q: build_dj_gl(3, q),
+    lambda q: build_q_super(2, 1, q),
+], ids=["dj_gl3", "q_super21"])
+def test_symbolic_psi_specializes_to_numeric_psi(build):
+    symbolic = build(q_sym()).psi.mat.to_dense(QT).data
+    numeric = build(q_num("7/5")).psi.mat.to_dense(EMPTY_TABLE).data
+    at = {"q": Fraction(7, 5)}
+    assert [[v.evaluate(at) for v in row] for row in symbolic] == \
+        [[v.as_fraction() for v in row] for row in numeric]
+
+
+def test_singular_partial_transpose_is_not_skew_invertible():
+    # R = qI satisfies the braid and Hecke relations, but its partial
+    # transpose q sum_ab |aa><bb| has rank 1
+    q = q_num("7/5")
+    R = TensorOp.identity(EMPTY_TABLE, 2, 2).scale(q)
+    assert yang_baxter_residual(R).is_zero() and hecke_residual(R, q).is_zero()
+    with pytest.raises(NotSkewInvertible):
+        solve_skew_inverse(R)
+
+
+def test_skew_inverse_is_one_elimination_of_n2_rows(monkeypatch):
+    N = 6
+    R = build_dj_gl(N, q_num("7/5")).R
+    calls = []
+    add = linalg.RowSpace.add
+
+    def counting_add(self, row):
+        calls.append(1)
+        return add(self, row)
+
+    monkeypatch.setattr(linalg.RowSpace, "add", counting_add)
+    solve_skew_inverse(R)
+    assert 0 < len(calls) <= N * N
 
 
 def test_dj_gl2_symbolic_validation_and_c_diagonal():

@@ -161,6 +161,24 @@ def test_inverse_solve_nullspace():
         inverse(mat(t, [[1, 2], [2, 4]]))
 
 
+def test_sparse_inverse_over_fractions():
+    rng = random.Random(11)
+    n = 6
+    # a unit lower-triangular times an upper-triangular factor with nonzero
+    # diagonal is invertible
+    lower = SparseMat(n, n, {i: {j: Fraction(rng.randint(1, 3)) if j < i else Fraction(1)
+                                 for j in range(i + 1)} for i in range(n)})
+    upper = SparseMat(n, n, {i: {j: Fraction(rng.choice([-2, -1, 1, 2]))
+                                 for j in range(i, n)} for i in range(n)})
+    m = lower * upper
+    inv = m.inverse(Fraction(1))
+    ident = SparseMat.identity(n, Fraction(1))
+    assert m * inv == ident and inv * m == ident
+    singular = SparseMat(n, n, {i: dict(m.rows[0 if i == 1 else i]) for i in range(n)})
+    with pytest.raises(SingularMatrix):
+        singular.inverse(Fraction(1))
+
+
 def test_rowspace_order_independence():
     rng = random.Random(23)
     vectors = []
