@@ -174,6 +174,14 @@ class SparseMat:
         return SparseMat(self.nrows, other.ncols, out)
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
+        return self._merge(other, False)
+
+    def __sub__(self, other: "SparseMat") -> "SparseMat":
+        return self._merge(other, True)
+
+    def _merge(self, other: "SparseMat", negate: bool) -> "SparseMat":
+        """self + other, or self - other with other's entries negated as
+        they are merged, so no scaled copy of other is made."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch")
         out = {i: dict(r) for i, r in self.rows.items()}
@@ -181,7 +189,10 @@ class SparseMat:
             tgt = out.setdefault(i, {})
             for j, v in row.items():
                 s = tgt.get(j)
-                val = v if s is None else s + v
+                if s is None:
+                    val = -v if negate else v
+                else:
+                    val = s - v if negate else s + v
                 if val:
                     tgt[j] = val
                 elif s is not None:
@@ -189,9 +200,6 @@ class SparseMat:
             if not tgt:
                 del out[i]
         return SparseMat(self.nrows, self.ncols, out)
-
-    def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "SparseMat":
         if not c:

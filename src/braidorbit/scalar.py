@@ -30,7 +30,9 @@ divides exactly when the quotient is integral, so the first leading
 coefficient that does not divide ends the pass with no quotient.  The
 multivariate gcd is a heuristic gcd with a division certificate: it
 evaluates at large integers, reads a candidate back from the digits of an
-integer gcd and accepts it only when it divides both inputs exactly.  Its
+integer gcd and accepts it only when it divides both inputs exactly.  The
+quotients of those divisions are the cofactors, so the gcd returns them
+with it and a fraction is reduced without dividing by its gcd again.  Its
 fallback is recursive content/primitive-part decomposition with Brown's
 subresultant pseudo-remainder sequence.  All of it runs in Z[x], so no
 factorization is ever required.
@@ -481,6 +483,10 @@ def _zneg(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
 
 
+def _zscale(P: dict, c: int) -> dict:
+    return P if c == 1 else {e: v * c for e, v in P.items()}
+
+
 def _zpow(a: dict, n: int) -> dict:
     """a^n by repeated squaring on packed monomials, packed and unpacked once.
 
@@ -670,7 +676,7 @@ def _uni_quo_ground(u: dict, p: dict) -> dict:
 def _poly_list_gcd(polys: Sequence[dict]) -> dict:
     acc = None
     for p in polys:
-        acc = p if acc is None else _zgcd(acc, p)
+        acc = p if acc is None else _zgcd(acc, p)[0]
         if _zis_const(acc):
             return _zone(acc)
     return acc
@@ -743,8 +749,9 @@ def _zdigits(P: dict, var: int, xi: int) -> dict:
 _HEU_TRIES = 6
 
 
-def _heu_gcd(f: dict, g: dict) -> Optional[dict]:
-    """gcd of nonzero integral f, g, integer content included, or None.
+def _heu_gcd(f: dict, g: dict) -> Optional[tuple]:
+    """(h, f/h, g/h) for nonzero integral f, g, or None; h is their gcd with
+    the common integer content included.
 
     The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
     1989).  With the common integer content c taken out, one occurring
@@ -755,17 +762,17 @@ def _heu_gcd(f: dict, g: dict) -> Optional[dict]:
     of the candidate G is gcd(f/c, g/c) as soon as it divides both: the gcd
     is P*k, and k(xi) divides the content of G, which is at most xi/2, while
     a k of positive degree would have |k(xi)| > xi/2 by Cauchy's root bound.
-    The exact division ``_zdiv`` is the certificate, so an accepted result
-    is exact.  A candidate that fails it makes xi grow, and None after
-    _HEU_TRIES values of xi (or a failed inner level) leaves the gcd to the
-    caller.
+    The exact divisions ``_zdiv`` are the certificate, so an accepted result
+    is exact, and their quotients are the cofactors.  A candidate that fails
+    it makes xi grow, and None after _HEU_TRIES values of xi (or a failed
+    inner level) leaves the gcd to the caller.
     """
     c = int_gcd(int_gcd(*f.values()), int_gcd(*g.values()))
-    if _zis_const(f) or _zis_const(g):
-        return {(0,) * len(next(iter(f))): c}
     if c != 1:
         f = {e: v // c for e, v in f.items()}
         g = {e: v // c for e, v in g.items()}
+    if _zis_const(f) or _zis_const(g):
+        return {(0,) * len(next(iter(f))): c}, f, g
     var = min(i for e in chain(f, g) for i, x in enumerate(e) if x)
     # 27 above the bound: a small xi is often unlucky (the cofactors' images
     # share a factor), and every retry costs an inner gcd
@@ -777,51 +784,70 @@ def _heu_gcd(f: dict, g: dict) -> Optional[dict]:
             hx = _heu_gcd(fx, gx)
             if hx is None:
                 return None
-            h = _zprimitive(_zdigits(hx, var, xi))
+            h = _zprimitive(_zdigits(hx[0], var, xi))
             # a constant candidate is 1, which divides everything
-            if _zis_const(h) or (_zdiv(f, h) is not None and _zdiv(g, h) is not None):
-                return h if c == 1 else {e: v * c for e, v in h.items()}
+            if _zis_const(h):
+                cf, cg = f, g
+            else:
+                cf = _zdiv(f, h)
+                cg = None if cf is None else _zdiv(g, h)
+            if cg is not None:
+                return _zscale(h, c), cf, cg
         # a ratio that is not an integer, so that xi does not keep the
         # residues that made the last one unlucky
         xi = xi * 11 // 4 + 1
     return None
 
 
-def _zgcd(f: dict, g: dict) -> dict:
-    """Primitive gcd of nonzero integral f, g, with positive leading coefficient.
+def _zgcd(f: dict, g: dict) -> tuple:
+    """(h, f/h, g/h) for nonzero integral f, g: h is their primitive gcd,
+    with positive leading coefficient, and the cofactors are integral.
 
-    After the cheap exits, the heuristic ``_heu_gcd`` runs first; the
-    content/subresultant recursion below is its fallback.
+    After the cheap exits, the heuristic ``_heu_gcd`` runs first and hands
+    back the quotients of its certificate; the content/subresultant
+    recursion below is its fallback, and divides once for the cofactors.
     """
     if _zis_const(f) or _zis_const(g):
-        return _zone(f)
+        return _zone(f), f, g
     # shared monomial content comes out directly (q-power denominators are
     # the common case in the deformation pipelines)
     shared = tuple(map(min, *f, *g))
     if any(shared):
         strip_f = {tuple(map(sub, e, shared)): c for e, c in f.items()}
         strip_g = {tuple(map(sub, e, shared)): c for e, c in g.items()}
-        return {tuple(map(add, e, shared)): c for e, c in _zgcd(strip_f, strip_g).items()}
+        h, cf, cg = _zgcd(strip_f, strip_g)
+        return {tuple(map(add, e, shared)): c for e, c in h.items()}, cf, cg
     if len(f) == 1 or len(g) == 1:
         # a monomial shares nothing beyond the stripped content
-        return _zone(f)
+        return _zone(f), f, g
     common = {i for e in f for i, x in enumerate(e) if x} & \
         {i for e in g for i, x in enumerate(e) if x}
     if not common:
-        return _zone(f)
-    f = _zprimitive(f)
-    g = _zprimitive(g)
+        return _zone(f), f, g
+    fc, gc = _zcontent(f), _zcontent(g)
+    f = f if fc == 1 else {e: c // fc for e, c in f.items()}
+    g = g if gc == 1 else {e: c // gc for e, c in g.items()}
     if f == g:
-        return f
-    h = _heu_gcd(f, g)
-    if h is not None:
-        return h
+        unit = (0,) * len(next(iter(f)))
+        return f, {unit: fc}, {unit: gc}
+    found = _heu_gcd(f, g)
+    if found is not None:
+        h, cf, cg = found
+    else:
+        h = _subresultant_gcd(f, g, common)
+        cf, cg = _zquo(f, h), _zquo(g, h)
+    return h, _zscale(cf, fc), _zscale(cg, gc)
+
+
+def _subresultant_gcd(f: dict, g: dict, common: set) -> dict:
+    """Primitive gcd of primitive f, g by the content/subresultant recursion
+    in the shared variable of least total degree."""
     var = min(common, key=lambda v: max(e[v] for e in f) + max(e[v] for e in g))
     fu = _to_univariate(f, var)
     gu = _to_univariate(g, var)
     f_cont = _uni_content(fu)
     g_cont = _uni_content(gu)
-    cont = _zgcd(f_cont, g_cont)
+    cont = _zgcd(f_cont, g_cont)[0]
     fp = _uni_quo_ground(fu, f_cont)
     gp = _uni_quo_ground(gu, g_cont)
     if max(fp) < max(gp):
@@ -847,7 +873,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     the exact division is checked, so the result is exact.  When no
     candidate passes, the content/subresultant recursion (Brown's chain),
     whose divisions are all exact in Z[x], gives the gcd.  Fractions are
-    built once, for the result.
+    built once, for the result.  The kernel also returns the cofactors;
+    ``poly_gcd_cofactors`` hands them back, and the ``Scalar`` arithmetic
+    uses it instead of dividing by the gcd again.
     """
     table = f.table
     if f.is_zero() and g.is_zero():
@@ -856,16 +884,33 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return _int_content_normalized(g)[0]
     if g.is_zero():
         return _int_content_normalized(f)[0]
+    return poly_gcd_cofactors(f, g)[0]
+
+
+def poly_gcd_cofactors(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
+    """(h, f/h, g/h) for nonzero f, g, with h = poly_gcd(f, g).
+
+    The cofactors come from the kernel gcd itself: the heuristic gcd's
+    certificate divisions, or one division after the subresultant fallback.
+    A trivial gcd returns f and g themselves.
+    """
+    if f.is_zero() or g.is_zero():
+        raise ValueError("the cofactors of a gcd need nonzero polynomials")
+    table = f.table
     if f.is_constant() or g.is_constant():
-        return Poly.const(table, 1)
-    return _from_int(table, _zgcd(f._P, g._P), 1)
+        return Poly.const(table, 1), f, g
+    h, F, G = _zgcd(f._P, g._P)
+    if _zis_const(h):
+        return _from_int(table, h, 1), f, g
+    # f = (F h)/d, so f/h = F/d
+    return _from_int(table, h, 1), _from_int(table, F, f._d), _from_int(table, G, g._d)
 
 
 def poly_lcm(f: Poly, g: Poly) -> Poly:
     if f.is_zero() or g.is_zero():
         return Poly.zero(f.table)
-    # f/gcd * g: the same lcm, from a smaller division
-    return _int_content_normalized(poly_div_exact(f, poly_gcd(f, g)) * g)[0]
+    # f * (g/gcd), over its integer content
+    return _int_content_normalized(f * poly_gcd_cofactors(f, g)[2])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -893,13 +938,12 @@ class Scalar:
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "Scalar":
+        """num/den in canonical form: both divided by their gcd, whose
+        cofactors the kernel gcd returns, and den made grlex-monic."""
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if not num.is_zero() and not den.is_constant():
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = poly_div_exact(num, g)
-                den = poly_div_exact(den, g)
+            _, num, den = poly_gcd_cofactors(num, den)
         return Scalar._from_coprime(num, den)
 
     @staticmethod
@@ -1014,12 +1058,10 @@ class Scalar:
         an, ad, bn, bd = self._num, self._den, b._num, b._den
         if ad == bd:
             return Scalar.make(an + bn, ad)
-        g = poly_gcd(ad, bd)
+        g, da, db = poly_gcd_cofactors(ad, bd)
         if g.is_constant():
             # coprime denominators: result already reduced
             return Scalar._from_coprime(an * bd + bn * ad, ad * bd)
-        db = poly_div_exact(bd, g)
-        da = poly_div_exact(ad, g)
         return Scalar.make(an * db + bn * da, ad * db)
 
     def __radd__(self, other):
@@ -1066,14 +1108,8 @@ class Scalar:
                 return b
             return _ratio(self._num.scale(Fraction(b._n, db)), self._den)
         an, ad, bn, bd = self._num, self._den, b._num, b._den
-        g1 = poly_gcd(an, bd)
-        g2 = poly_gcd(bn, ad)
-        if not g1.is_constant():
-            an = poly_div_exact(an, g1)
-            bd = poly_div_exact(bd, g1)
-        if not g2.is_constant():
-            bn = poly_div_exact(bn, g2)
-            ad = poly_div_exact(ad, g2)
+        _, an, bd = poly_gcd_cofactors(an, bd)
+        _, bn, ad = poly_gcd_cofactors(bn, ad)
         return Scalar._from_coprime(an * bn, ad * bd)
 
     def __rmul__(self, other):

@@ -27,12 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import BadDeformationParameter, DegenerateProfile
 from .scalar import (
+    Poly,
     Scalar,
     SymbolTable,
+    poly_gcd_cofactors,
     qnumber,
 )
 
@@ -502,6 +505,7 @@ class EigenvalueProfile:
         self.m = len(self.mus)
         self.n = len(self.nus)
         self._dims: Optional[QuantumDims] = None
+        self._psum: Optional[tuple] = None
         self._pvals: dict = {}
         self._avals: list = []
         allv = self.mus + self.nus
@@ -578,17 +582,67 @@ def quantum_dims(profile: EigenvalueProfile) -> QuantumDims:
     return profile._dims
 
 
+def _int_cofactors(a: int, b: int) -> tuple:
+    g = gcd(a, b)
+    return g, a // g, b // g
+
+
+def _over_common_denominator(pairs, one, cofactors) -> tuple:
+    """(L, [n_i * (L / d_i)]) for the fractions n_i/d_i, L the lcm of the d_i.
+
+    A new d shares g with the running L: with L = g*u and d = g*v the lcm
+    becomes L*v, the earlier multipliers gain the factor v and the new one
+    is u, so no division is made.
+    """
+    L, nums, mults = one, [], []
+    for n, d in pairs:
+        _, u, v = cofactors(L, d)
+        nums.append(n)
+        mults = [m * v for m in mults] + [u]
+        L = L * v
+    return L, [n * m for n, m in zip(nums, mults)]
+
+
+def _power_sum_terms(profile: EigenvalueProfile) -> tuple:
+    """(L, B, [(c_i, a_i)]) with p_k = sum_i c_i a_i^k / (L B^k), once per profile.
+
+    For the weights n_i/den_i and the eigenvalues v_i = a'_i/b_i, L is the
+    lcm of the den_i, B the lcm of the b_i, c_i = n_i (L/den_i) and
+    a_i = a'_i (B/b_i).  On a constant profile these are ints, so it builds
+    no Poly; otherwise they are Polys.
+    """
+    if profile._psum is None:
+        dims = quantum_dims(profile)
+        scalars = [*dims.d, *dims.dprime, *profile.mus, *profile.nus]
+        if all(x.is_constant() for x in scalars):
+            pairs = [(f.numerator, f.denominator) for f in map(Scalar.as_fraction, scalars)]
+            one, cofactors = 1, _int_cofactors
+        else:
+            pairs = [(x.num, x.den) for x in scalars]
+            one, cofactors = Poly.const(profile.table, 1), poly_gcd_cofactors
+        w = len(dims.d) + len(dims.dprime)
+        L, c = _over_common_denominator(pairs[:w], one, cofactors)
+        B, a = _over_common_denominator(pairs[w:], one, cofactors)
+        profile._psum = (L, B, list(zip(c, a)))
+    return profile._psum
+
+
 def power_sum_param(k: int, profile: EigenvalueProfile) -> Scalar:
-    """sum_i d_i mu_i^k + sum_j d'_j nu_j^k; k = 0 gives sum d + sum d'."""
-    if k in profile._pvals:
-        return profile._pvals[k]
-    dims = quantum_dims(profile)
-    total = Scalar.zero(profile.table)
-    for di, mu in zip(dims.d, profile.mus):
-        total = total + di * mu ** k
-    for dj, nu in zip(dims.dprime, profile.nus):
-        total = total + dj * nu ** k
-    profile._pvals[k] = total
+    """sum_i d_i mu_i^k + sum_j d'_j nu_j^k; k = 0 gives sum d + sum d'.
+
+    The weights do not depend on k, so the sum is taken over the common
+    denominator L B^k of ``_power_sum_terms`` and normalised once, by one
+    ``Scalar.make``.
+    """
+    if k not in profile._pvals:
+        L, B, terms = _power_sum_terms(profile)
+        den = L * B ** k
+        if isinstance(den, int):
+            num = sum(c * a ** k for c, a in terms)
+            profile._pvals[k] = Scalar.from_fraction(profile.table, Fraction(num, den))
+        else:
+            num = sum((c * a ** k for c, a in terms), Poly.zero(profile.table))
+            profile._pvals[k] = Scalar.make(num, den)
     return profile._pvals[k]
 
 

@@ -230,6 +230,34 @@ def test_sparse_roundtrip_and_ops():
     assert v[0] == parse_scalar("3", t)
 
 
+def test_sparse_sub_equals_add_of_negated():
+    """A - B == A + B.scale(-1), over Fractions and over symbolic Scalars,
+    with entries and whole rows that cancel to nothing."""
+    rng = random.Random(5)
+    t = SymbolTable(["q", "h"])
+    symbolic = [parse_scalar(x, t) for x in ("q", "-h", "1/(q - h)", "q^2 + 3/2", "2*h/q")]
+    for entry in (lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                  lambda: rng.choice(symbolic) * rng.randint(-2, 2)):
+        cancelled = 0
+        for _ in range(10):
+            a_rows = {i: {j: entry() for j in range(5) if rng.randint(0, 1)} for i in range(4)}
+            a = SparseMat(4, 5, {i: {j: v for j, v in r.items() if v}
+                                 for i, r in a_rows.items() if any(r.values())})
+            # b shares row 0 with a, so a - b cancels it; other rows are fresh
+            b_rows = {0: dict(a.rows.get(0, {}))}
+            b_rows.update({i: {j: entry() for j in range(5) if rng.randint(0, 1)}
+                           for i in range(1, 4)})
+            b = SparseMat(4, 5, {i: {j: v for j, v in r.items() if v}
+                                 for i, r in b_rows.items() if any(r.values())})
+            diff = a - b
+            assert diff == a + b.scale(-1)
+            assert 0 not in diff.rows
+            cancelled += 0 in a.rows
+            assert all(r and all(r.values()) for r in diff.rows.values())
+            assert (a - a).is_zero() and (b - a) == b + a.scale(-1)
+        assert cancelled
+
+
 def test_entry_cap():
     sigma = flip_op(EMPTY_TABLE, 2)
     set_entry_cap(10)

@@ -273,7 +273,7 @@ def _subresultant_gcd(monkeypatch, f, g):
     """``_zgcd`` with the heuristic given no tries: the content/subresultant route."""
     with monkeypatch.context() as m:
         m.setattr(scalar, "_HEU_TRIES", 0)
-        return scalar._zgcd(f, g)
+        return scalar._zgcd(f, g)[0]
 
 
 def _random_zpoly(rng, width, nterms, height=4, degree=2):
@@ -325,11 +325,12 @@ def test_heuristic_gcd_matches_subresultant_route(monkeypatch):
         expected = _subresultant_gcd(monkeypatch, f, g)
         assert math.gcd(*expected.values()) == 1
         assert expected[max(expected, key=scalar._mono_key)] > 0
-        h = scalar._heu_gcd(f, g)
-        assert h is not None
+        found = scalar._heu_gcd(f, g)
+        assert found is not None
+        h = found[0]
         assert math.gcd(*h.values()) == math.gcd(*f.values(), *g.values())
         assert scalar._zprimitive(h) == expected
-        assert scalar._zgcd(f, g) == expected
+        assert scalar._zgcd(f, g)[0] == expected
 
 
 def test_heuristic_gcd_first_candidate_fails_the_certificate():
@@ -341,7 +342,7 @@ def test_heuristic_gcd_first_candidate_fails_the_certificate():
     candidate = scalar._zdigits({(0,): image}, 0, xi)
     assert (image, candidate) == (47, {(1,): 1, (0,): 12})
     assert scalar._zdiv(f, candidate) is None
-    assert scalar._heu_gcd(f, g) == {(0,): 1}
+    assert scalar._heu_gcd(f, g)[0] == {(0,): 1}
 
 
 def test_poly_gcd_unchanged_when_the_heuristic_falls_back(monkeypatch):
@@ -356,6 +357,61 @@ def test_poly_gcd_unchanged_when_the_heuristic_falls_back(monkeypatch):
         fallback = [poly_gcd(a, b) for a in polys for b in polys]
     assert fallback == heuristic
     assert heuristic[1] == parse_scalar("(q*mu1 - h)*(q^2 + 1)", t).num
+
+
+def _cofactor_pairs():
+    """Poly pairs with integer content, shared monomials, a negative leading
+    coefficient, a trivial gcd, equal primitive parts and a constant."""
+    rng = random.Random(2024)
+    pairs = []
+    for width in range(1, 4):
+        t = SymbolTable([f"x{i}" for i in range(width)])
+        x0 = Poly.symbol(t, "x0")
+        for kind in ("planted", "content", "monomial", "negative", "trivial"):
+            for _ in range(4):
+                a, b, c = (_random_rational_poly(rng, t, rng.randint(1, 3)) for _ in range(3))
+                if a.is_zero() or b.is_zero() or c.is_zero():
+                    continue
+                if kind == "trivial":
+                    c = Poly.const(t, 1)
+                    b = b * x0 + Poly.const(t, 1)
+                f, g = a * c, b * c
+                if kind == "content":
+                    f, g = f.scale(6), g.scale(-15)
+                elif kind == "monomial":
+                    f, g = f * x0 ** 3, g * x0 * x0
+                elif kind == "negative":
+                    f, g = -f, -(g * x0)
+                pairs.append((f, g))
+        p = _random_rational_poly(rng, t, 3)
+        pairs += [(p.scale(4), p.scale(Fraction(-2, 3))), (p, Poly.const(t, Fraction(5, 2)))]
+    return pairs
+
+
+@pytest.mark.parametrize("tries", [scalar._HEU_TRIES, 0])
+def test_gcd_cofactors_multiply_back(monkeypatch, tries):
+    """gcd * f' == f and gcd * g' == g, with gcd = poly_gcd(f, g) and coprime
+    cofactors, on the heuristic route and (tries = 0) on the subresultant
+    fallback; both routes give the same triples.  The lcm built from the
+    cofactors is a common multiple with lcm * gcd = f * g up to a constant."""
+    pairs = _cofactor_pairs()
+    assert len(pairs) > 40
+    with monkeypatch.context() as m:
+        heuristic = [scalar.poly_gcd_cofactors(f, g) for f, g in pairs]
+        m.setattr(scalar, "_HEU_TRIES", tries)
+        results = [scalar.poly_gcd_cofactors(f, g) for f, g in pairs]
+        for (f, g), (h, cf, cg) in zip(pairs, results):
+            assert h * cf == f and h * cg == g
+            assert h == poly_gcd(f, g)
+            assert poly_gcd(cf, cg).is_constant()
+            lcm = scalar.poly_lcm(f, g)
+            assert poly_div_exact(lcm, f) is not None and poly_div_exact(lcm, g) is not None
+            assert Scalar.make(lcm * h, f * g).is_constant()
+    assert results == heuristic
+    assert any(not h.is_constant() for h, _, _ in results)
+    assert any(h.is_constant() for h, _, _ in results)
+    with pytest.raises(ValueError):
+        scalar.poly_gcd_cofactors(pairs[0][0], Poly.zero(pairs[0][0].table))
 
 
 def _schoolbook_mul(a, b):

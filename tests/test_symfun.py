@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from braidorbit.errors import DegenerateProfile
-from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable
+from braidorbit.scalar import EMPTY_TABLE, Poly, Scalar, SymbolTable
 from braidorbit.symfun import (
     EigenvalueProfile,
     GenPoly,
     NewtonConverter,
     Partition,
+    _power_sum_terms,
     a_values_param,
     ch_coefficients,
     ch_factorized,
@@ -385,3 +386,58 @@ def test_schur_routes_agree_sampled_32():
             continue
         lam = Partition.rectangle_plus_column(3, 2, 3)
         assert schur_param(lam, prof, route="a") == schur_param(lam, prof, route="p")
+
+
+def _termwise_power_sum(k, profile):
+    """The oracle: sum d_i mu_i^k + sum d'_j nu_j^k, one Scalar add per term."""
+    dims = quantum_dims(profile)
+    total = Scalar.zero(profile.table)
+    for d, v in zip(dims.d + dims.dprime, profile.mus + profile.nus):
+        total = total + d * v ** k
+    return total
+
+
+def _shifted_base_profile():
+    # the base profile of orbit.hatted_ch_values: mu - h/(q - q^-1), so the
+    # eigenvalues have a common denominator q^2 - 1
+    prof = sym_profile(2, 1, with_h=True)
+    s = prof.h * (prof.q - prof.q.inv()).inv()
+    return EigenvalueProfile([mu - s for mu in prof.mus], [nu - s for nu in prof.nus], prof.q)
+
+
+@pytest.mark.parametrize("make_profile", [
+    lambda: sym_profile(3, 2),
+    lambda: sym_profile(2, 1, with_h=True),
+    _shifted_base_profile,
+    lambda: num_profile(["1/2", 3], ["-5/3"], "7/5"),
+], ids=["symbols_32", "shifted_h_21", "hatted_base_21", "numeric_21"])
+def test_power_sum_param_matches_termwise_sum(make_profile):
+    prof = make_profile()
+    for k in range(prof.m + prof.n + 3):
+        assert power_sum_param(k, prof) == _termwise_power_sum(k, prof), k
+
+
+def test_hatted_base_profile_sums_over_an_eigenvalue_denominator():
+    prof = _shifted_base_profile()
+    L, B, terms = _power_sum_terms(prof)
+    assert Scalar.make(B, Poly.symbol(prof.table, "q") ** 2 - Poly.const(prof.table, 1)) \
+        .is_constant()
+    assert len(terms) == 3
+
+
+def test_power_sum_param_one_make_per_new_k(monkeypatch):
+    prof = sym_profile(3, 2)
+    quantum_dims(prof)
+    calls = []
+    make = Scalar.make
+
+    def counting_make(num, den):
+        calls.append(1)
+        return make(num, den)
+
+    monkeypatch.setattr(Scalar, "make", staticmethod(counting_make))
+    for k in range(7):
+        power_sum_param(k, prof)
+        assert len(calls) == k + 1
+    power_sum_param(3, prof)
+    assert len(calls) == 7
