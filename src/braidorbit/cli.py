@@ -196,7 +196,7 @@ def _cmd_cotangent(args) -> Report:
     data = orbit.cotangent(hs, prof)
     for name, value in sorted(data.certificates.items()):
         if isinstance(value, bool):
-            rep.add(name, value)
+            rep.add(name, value, not_closed=data.not_closed if name == "entrywise" else None)
         else:
             rep.add(name, True, value=value)
     return rep
@@ -248,7 +248,8 @@ def _cmd_mrea(args) -> Report:
             rep.add("nc-orbit-pipeline", True, mode=quotient.mode)
             for name, value in sorted(data.certificates.items()):
                 if isinstance(value, bool):
-                    rep.add(f"nc-{name}", value)
+                    rep.add(f"nc-{name}", value,
+                            not_closed=data.not_closed if name == "entrywise" else None)
     return rep
 
 

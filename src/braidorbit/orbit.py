@@ -1,21 +1,23 @@
 """Braided orbits: regularity, Hankel data, and cotangent idempotents.
 
 An orbit is the quotient of the reflection equation algebra fixing the first
-m+n quantum power sums at their parametrized values.  The gradient matrix of
-those power sums and its pairing row matrix multiply to a Hankel matrix of
-power-sum values; when that matrix is invertible (the regularity condition on
-the eigenvalues) the element A (BA)^-1 B is an idempotent over the quotient
-and its complement realizes the 1-form module.
+s = m+n quantum power sums at their parametrized values.  The gradient matrix
+A of those power sums and its pairing row matrix B multiply to the Hankel
+matrix (p_{k+l-2}) of power-sum elements; when the Hankel matrix H of their
+values is invertible (the regularity condition on the eigenvalues) the
+element ebar = A H^-1 B is an idempotent over the quotient and its
+complement realizes the 1-form module.
 
-Idempotency is certified two ways: structurally (the free-algebra Hankel
-identity plus the Cayley-Hamilton recurrence for the higher power sums) and,
-within the degree cap, by entrywise reduction of ebar^2 - ebar against the
-orbit ideal.  That reduction works on normal words of the algebra: the
+Idempotency is certified through the Hankel lemma: H has scalar entries,
+so ebar^2 - ebar = A H^-1 (BA - H) H^-1 B, which lies in the orbit ideal once
+BA = (p_{k+l-2}) holds word by word in the free algebra, p_0 = Tr_R(I), and
+p_j is its value modulo the orbit ideal for j <= 2s - 2.  For j <= s that is
+a generator; above s it is a reduction on normal words of the algebra: the
 orbit generators p_k - c_k are central, certified so, and the orbit ideal
 modulo the relations is spanned by the normal forms of u g, with u a normal
-word; an entry vanishes on the orbit when its normal form lies in that span.
-The normal form is the one of `RelationSpace.quotient`: graded for the plain
-algebra, filtered for the modified algebra, at every q.
+word; an element vanishes on the orbit when its normal form lies in that
+span.  The normal form is the one of `RelationSpace.quotient`: graded for
+the plain algebra, filtered for the modified algebra, at every q.
 """
 
 from __future__ import annotations
@@ -273,17 +275,14 @@ def gradient_matrices(hs: HeckeSymmetry, size: int) -> tuple:
     return A, B
 
 
-def free_hankel_identity(hs: HeckeSymmetry, size: int) -> bool:
-    """(B A)_{kl} = Tr_R L^{k+l-2} as words in the free algebra."""
-    A, B = gradient_matrices(hs, size)
+def free_hankel_identity(hs: HeckeSymmetry, A: list, B: list) -> bool:
+    """(B A)_{kl} = Tr_R L^{k+l-2} as words in the free algebra, for the
+    gradient matrices (A, B) of `gradient_matrices`."""
+    size = len(B)
     ba = nc_matmul(B, A)
-    trc = NCPoly.const(hs.N, hs.table, hs.c_op.trace())
-    for k in range(size):
-        for l in range(size):
-            expect = trc if k + l == 0 else power_sum_element(k + l, hs)
-            if ba[k][l] != expect:
-                return False
-    return True
+    expect = [NCPoly.const(hs.N, hs.table, hs.c_op.trace())]
+    expect += [power_sum_element(j, hs) for j in range(1, 2 * size - 1)]
+    return all(ba[k][l] == expect[k + l] for k in range(size) for l in range(size))
 
 
 # ---------------------------------------------------------------------------
@@ -447,114 +446,98 @@ class CotangentData:
     ebar: list               # N^2 x N^2 idempotent (NCPoly entries)
     e: list                  # complement I - ebar
     certificates: dict
+    not_closed: Optional[str] = None   # the p_j the lemma left unreduced, and where
 
 
-def _idempotent(hs: HeckeSymmetry, profile: EigenvalueProfile):
-    size = profile.m + profile.n
-    A, B = gradient_matrices(hs, size)
-    H = hankel(profile)
-    det = det_bareiss(H)
-    if det.is_zero():
-        raise ExceptionalProfile("Hankel matrix is singular on this profile")
-    hinv = inverse(H)
-    hinv_nc = [[NCPoly.const(hs.N, hs.table, v) for v in row] for row in hinv.data]
-    ebar = nc_matmul(nc_matmul(A, hinv_nc), B)
-    n2 = hs.N * hs.N
-    e = [[(NCPoly.one(hs.N, hs.table) if r == c else NCPoly.zero(hs.N, hs.table)) - ebar[r][c]
-          for c in range(n2)] for r in range(n2)]
-    return A, B, H, ebar, e
+def hankel_lemma(hs: HeckeSymmetry, profile: EigenvalueProfile, H: MatrixS,
+                 targets: Sequence[Scalar]) -> tuple:
+    """Reduce ebar^2 - ebar into the orbit ideal I of `targets` (p_1..p_s).
 
-
-def _idempotency_entries(ebar: list, cap: Optional[int]) -> tuple:
-    """(rows of ebar^2, entries of ebar^2 - ebar), formed entry by entry.
-
-    Once an entry's degree is over `cap` or its word space over 10^6, the
-    rest is not formed: the entries are None, the rows those completed.
+    H has scalar entries, so ebar^2 - ebar = A H^-1 (BA - H) H^-1 B, and
+    with the free Hankel identity the entries of BA - H are p_j - c_j, c_j
+    the Hankel value at index j.  They lie in I when H is a Hankel matrix,
+    c_0 = Tr_R(I), c_j is the orbit target for j <= s, and p_j - c_j reduces
+    to zero in I for s < j <= 2s - 2; a failed scalar condition raises
+    `IdentityFailed`.  The reductions run at truncation 2s - 2, then at
+    2s - 2 + mn, the degree at which the leading coefficient of the (m|n)
+    Cayley-Hamilton identity times p_j first appears.  For s <= 2 no reducer
+    is built.  Returns (the last truncation reduced at, the first j whose
+    p_j did not reduce there); (None, None) when nothing was to reduce.
     """
-    square, entries = [], []
-    columns = [[[x] for x in col] for col in zip(*ebar)]
-    for row in ebar:
-        sq_row = []
-        for col, e in zip(columns, row):
-            sq_row.append(nc_matmul([row], col)[0][0])
-            entries.append(sq_row[-1] - e)
-            d = entries[-1].max_degree()
-            if (cap is not None and d > cap) or len(row) ** max(d, 2) > 1_000_000:
-                return square, None
-        square.append(sq_row)
-    return square, entries
+    s = len(targets)
+    values = {}
+    for k, row in enumerate(H.data):
+        for l, v in enumerate(row):
+            if values.setdefault(k + l, v) != v:
+                raise IdentityFailed(f"H is not a Hankel matrix at ({k + 1}, {l + 1})")
+    if values[0] != hs.c_op.trace():
+        raise IdentityFailed(f"p_0 = {values[0]} is not Tr_R(I) = {hs.c_op.trace()}")
+    for j in range(1, min(s, 2 * s - 2) + 1):
+        if values[j] != targets[j - 1]:
+            raise IdentityFailed(
+                f"Hankel value p_{j} = {values[j]} is not the orbit target {targets[j - 1]}")
+    open_js = list(range(s + 1, 2 * s - 1))
+    if not open_js:
+        return None, None
+
+    def const(c):
+        return NCPoly.const(hs.N, hs.table, c)
+
+    gens = [power_sum_element(k, hs) - const(t) for k, t in enumerate(targets, 1)]
+    rest = {j: power_sum_element(j, hs) - const(values[j]) for j in open_js}
+    rs = (relation_space(hs, "mrea", profile.h) if profile.is_mrea
+          else relation_space(hs, "minus"))
+    for truncation in sorted({2 * s - 2, 2 * s - 2 + profile.m * profile.n}):
+        reducer = OrbitIdealReducer(rs, gens, truncation)
+        open_js = [j for j in open_js if not reducer.reduce(rest[j]).is_zero()]
+        if not open_js:
+            return truncation, None
+    return truncation, open_js[0]
 
 
-def _orbit_pipeline(hs: HeckeSymmetry, profile: EigenvalueProfile,
-                    verify_degree_cap: Optional[int]) -> tuple:
-    """Shared body of `cotangent` and `nc_orbit`.
+def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile) -> tuple:
+    """Orbit quotient and certified idempotent of a regular profile.
 
-    Returns (quotient, data, reduction degree or None when the entrywise
-    check was skipped, the rows of ebar^2 formed).  The profile picks the
-    algebra: the plain one for h = 0, the modified one otherwise.
+    The profile picks the algebra: the plain one for h = 0, the modified
+    one otherwise, at every q and for every symmetry whose modified
+    relations are a PBW deformation of the plain ones.  Idempotency is
+    certified through `hankel_lemma`; `entrywise` holds when it closes.
     """
     verdict = regularity(profile)
     if not verdict.regular:
         raise ExceptionalProfile(f"profile is exceptional: {verdict.violated}")
     size = profile.m + profile.n
-    certificates = {"regular": True}
-    certificates["free_hankel"] = free_hankel_identity(hs, size)
-    A, B, H, ebar, e = _idempotent(hs, profile)
+    H = hankel(profile)
+    if det_bareiss(H).is_zero():
+        raise ExceptionalProfile("Hankel matrix is singular on this profile")
     coeffs, mode = orbit_coefficients(profile)
-    higher_power_reduction(profile, 2 * size - 2, coeff_values=coeffs)
-    certificates["power_recurrence"] = True
+    higher_power_reduction(profile, max(2 * size - 2, size + 1), coeff_values=coeffs)
     targets = [power_sum_param(k, profile) for k in range(1, size + 1)]
-    gens = [power_sum_element(k, hs) - NCPoly.const(hs.N, hs.table, targets[k - 1])
-            for k in range(1, size + 1)]
-    square, entries = _idempotency_entries(ebar, verify_degree_cap)
-    degree = None
-    if entries is not None:
-        degree = max(2, max(x.max_degree() for x in entries))
-        rs = (relation_space(hs, "mrea", profile.h) if profile.is_mrea
-              else relation_space(hs, "minus"))
-        reducer = OrbitIdealReducer(rs, gens, degree)
-        failures = []
-        for idx, x in enumerate(entries):
-            res = reducer.reduce(x)
-            if not res.is_zero():
-                failures.append((idx, res))
-        if failures:
-            raise IdentityFailed(
-                f"idempotency residual nonzero in {len(failures)} entries: "
-                f"first {failures[0]}")
-        certificates["entrywise"] = True
-    else:
-        certificates["entrywise"] = False
-        certificates["structural_only"] = True
+    A, B = gradient_matrices(hs, size)
+    free = free_hankel_identity(hs, A, B)
+    certificates = {"regular": True, "free_hankel": free, "power_recurrence": True,
+                    "entrywise": free}
+    not_closed = None
+    if free:
+        truncation, j = hankel_lemma(hs, profile, H, targets)
+        if truncation is not None:
+            certificates["reduction_degree"] = truncation
+        if j is not None:
+            certificates["entrywise"] = False
+            not_closed = f"p_{j} at truncation {truncation}"
+    hinv = [[NCPoly.const(hs.N, hs.table, v) for v in row] for row in inverse(H).data]
+    ebar = nc_matmul(nc_matmul(A, hinv), B)
+    one = NCPoly.one(hs.N, hs.table)
+    e = [[one - x if r == c else -x for c, x in enumerate(row)] for r, row in enumerate(ebar)]
+    data = CotangentData(A=A, Bmat=B, H=H, ebar=ebar, e=e, certificates=certificates,
+                         not_closed=not_closed)
     quotient = OrbitQuotient(hs=hs, profile=profile, targets=targets, mode=mode)
-    data = CotangentData(A=A, Bmat=B, H=H, ebar=ebar, e=e, certificates=certificates)
-    return quotient, data, degree, square
-
-
-def cotangent(hs: HeckeSymmetry, profile: EigenvalueProfile,
-              verify_degree_cap: Optional[int] = None) -> CotangentData:
-    """Build and certify the cotangent idempotent over a regular orbit."""
-    _, data, degree, square = _orbit_pipeline(hs, profile, verify_degree_cap)
-    if degree is not None:
-        data.certificates["reduction_degree"] = degree
-    # complement: e^2 - e = ebar^2 - ebar identically, checked cheaply
-    n2 = hs.N * hs.N
-    e, ebar = data.e, data.ebar
-    esq = nc_matmul(e, e)
-    ebarsq = square + nc_matmul(ebar[len(square):], ebar)
-    data.certificates["complement_idempotent"] = all(
-        (esq[r][c] - e[r][c]) == (ebarsq[r][c] - ebar[r][c])
-        for r in range(n2) for c in range(n2))
-    return data
-
-
-def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile,
-             verify_degree_cap: Optional[int] = None) -> tuple:
-    """Modified-algebra orbit: shifted power sums, coefficients and idempotent.
-
-    The zero tests run in the modified algebra itself, at every q and for
-    every symmetry whose modified relations are a PBW deformation of the
-    plain ones.  The h = 0 case degenerates to the plain pipeline.
-    """
-    quotient, data, _, _ = _orbit_pipeline(hs, profile, verify_degree_cap)
     return quotient, data
+
+
+def cotangent(hs: HeckeSymmetry, profile: EigenvalueProfile) -> CotangentData:
+    """Build and certify the cotangent idempotent over a regular orbit."""
+    _, data = nc_orbit(hs, profile)
+    # derived, not checked: (1 - ebar)^2 - (1 - ebar) = ebar^2 - ebar in any ring
+    data.certificates["complement_idempotent"] = data.certificates["entrywise"]
+    return data

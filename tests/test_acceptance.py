@@ -37,10 +37,12 @@ from braidorbit.symfun import (
     elementary_symmetric,
     eval_symexpr,
     jacobi_trudi,
+    power_sum_param,
     quantum_dims,
     schur_param,
     vieta_checks,
 )
+from idempotency_oracle import entrywise_residuals
 
 
 def q_num(v, table=EMPTY_TABLE):
@@ -224,10 +226,15 @@ def test_criterion_8_cotangent_idempotent():
     prof3 = EigenvalueProfile([q_num(1), q_num(2)], [], q_num("7/5"))
     d3 = cotangent(dj, prof3)
     assert d3.certificates["entrywise"] and d3.certificates["complement_idempotent"]
-    assert d3.certificates["reduction_degree"] == 4
-    _report(8, "idempotent and complement verified by entrywise reduction "
-               "modulo the orbit ideal for the rank-one symbolic case, the "
-               "classical flip orbit and the deformed orbit")
+    # the direct reduction of every entry of ebar^2 - ebar agrees
+    targets = [power_sum_param(k, prof3) for k in (1, 2)]
+    assert entrywise_residuals(dj, prof3, d3.ebar, targets) == (4, [])
+    _report(8, "idempotent certified through the Hankel lemma (free Hankel "
+               "identity, p_0 = Tr_R(I), Hankel values at the orbit targets) "
+               "for the rank-one symbolic case, the classical flip orbit and "
+               "the deformed orbit, the complement by the ring identity; on "
+               "the deformed orbit every entry of ebar^2 - ebar also reduces "
+               "to zero modulo the orbit ideal at degree 4")
 
 
 def test_criterion_9_power_sum_recurrence():

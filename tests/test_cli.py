@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from braidorbit import orbit
 from braidorbit.cli import main
 
 # the R-matrix file of the README: Drinfeld-Jimbo gl(2) at symbolic q
@@ -88,6 +89,35 @@ def test_cotangent_cli(capsys):
                     "--q", "7/5", "--mu", "1,2")
     assert code == 0
     assert "entrywise: PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "cotangent --builtin dj_gl --N 3 --q 7/5 --mu 1,2,3",
+    "cotangent --builtin superflip --m 2 --n 1 --mu 1,2 --nu 3",
+])
+def test_cotangent_cli_size_three(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert "entrywise: PASS" in out
+
+
+def test_cotangent_cli_refuses_oversized_truncation(capsys):
+    # p_5 and p_6 of dj_gl(4) would be reduced at truncation 6, a word space of
+    # 17.9M words; the refusal comes before the idempotent is formed
+    start = time.monotonic()
+    code = main(["cotangent", "--builtin", "dj_gl", "--N", "4", "--q", "7/5",
+                 "--mu", "1,2,3,5"])
+    assert code == 3
+    assert "exceeds cap" in capsys.readouterr().err
+    assert time.monotonic() - start < 1
+
+
+def test_cotangent_cli_reports_lemma_not_closed(capsys, monkeypatch):
+    monkeypatch.setattr(orbit, "hankel_lemma", lambda hs, prof, H, targets: (6, 4))
+    code, out = run(capsys, "cotangent", "--builtin", "dj_gl", "--N", "2",
+                    "--q", "7/5", "--mu", "1,2")
+    assert code == 1
+    assert 'entrywise: FAIL  {"not_closed": "p_4 at truncation 6"}' in out
 
 
 def test_mrea_cli(capsys):

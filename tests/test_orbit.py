@@ -2,10 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from braidorbit import orbit
 from braidorbit.errors import ExceptionalProfile, IdentityFailed, RecurrenceMismatch
 from braidorbit.graded import by_degree, ideal_span
-from braidorbit.hecke import build_dj_gl, build_flip, build_q_super, validate
-from braidorbit.linalg import RowSpace, SparseMat, TensorOp, det_bareiss
+from braidorbit.hecke import (
+    build_dj_gl,
+    build_flip,
+    build_q_super,
+    build_superflip,
+    validate,
+)
+from braidorbit.linalg import MatrixS, RowSpace, SparseMat, TensorOp, det_bareiss
 from braidorbit.orbit import (
     CotangentData,
     OrbitIdealReducer,
@@ -15,6 +22,7 @@ from braidorbit.orbit import (
     hankel,
     hankel_det_check,
     hankel_det_target,
+    hankel_lemma,
     hatted_ch_values,
     higher_power_reduction,
     nc_orbit,
@@ -23,6 +31,7 @@ from braidorbit.orbit import (
 from braidorbit.rea import NCPoly, nc_matmul, power_sum_element, relation_space
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable, parse_scalar
 from braidorbit.symfun import EigenvalueProfile, power_sum_param, quantum_dims
+from idempotency_oracle import entrywise_residuals
 
 
 def num_profile(mus, nus, q, h=None, table=EMPTY_TABLE):
@@ -171,7 +180,8 @@ def test_gradient_columns_first_entries():
     (lambda: build_q_super(1, 1, parse_scalar("9/7", EMPTY_TABLE)), 2),
 ])
 def test_free_hankel_identity(builder, size):
-    assert free_hankel_identity(builder(), size)
+    hs = builder()
+    assert free_hankel_identity(hs, *gradient_matrices(hs, size))
 
 
 # -- recurrence ------------------------------------------------------------------
@@ -191,6 +201,24 @@ def test_higher_power_reduction_mismatch_detection():
     wrong = [Scalar.one(prof.table)] * 3
     with pytest.raises(RecurrenceMismatch):
         higher_power_reduction(prof, 3, coeff_values=wrong)
+
+
+def test_pipeline_recurrence_compares_for_size_two(monkeypatch):
+    # with s = 2 the pipeline runs the recurrence to p_3, so a wrong
+    # Cayley-Hamilton coefficient of a (1|1) orbit is caught
+    prof = sym_profile(1, 1)
+    coeffs, _ = orbit.orbit_coefficients(prof)
+    wrong = coeffs[:-1] + [coeffs[-1] + 1]
+    with pytest.raises(RecurrenceMismatch):
+        higher_power_reduction(prof, 3, coeff_values=wrong)
+    hs = build_q_super(1, 1, parse_scalar("9/7", EMPTY_TABLE))
+    prof = num_profile([1], [2], q="9/7")
+    coeffs, mode = orbit.orbit_coefficients(prof)
+    assert cotangent(hs, prof).certificates["power_recurrence"]
+    monkeypatch.setattr(orbit, "orbit_coefficients",
+                        lambda p: (coeffs[:-1] + [coeffs[-1] + 1], mode))
+    with pytest.raises(RecurrenceMismatch):
+        cotangent(hs, prof)
 
 
 # -- cotangent -------------------------------------------------------------------
@@ -220,7 +248,11 @@ def test_cotangent_dj2():
     prof = num_profile([1, 2], [], q="7/5")
     data = cotangent(hs, prof)
     assert data.certificates["entrywise"]
-    assert data.certificates["reduction_degree"] == 4
+    # s = 2: every Hankel value is a generator target, nothing is reduced
+    assert "reduction_degree" not in data.certificates
+    degree, residuals = entrywise_residuals(
+        hs, prof, data.ebar, [power_sum_param(k, prof) for k in (1, 2)])
+    assert degree == 4 and not residuals
 
 
 def test_cotangent_rejects_exceptional():
@@ -323,6 +355,62 @@ def test_entrywise_certificate_fails_on_perturbed_target(route):
     entries = [sq[r][c] - data.ebar[r][c] for r in range(n2) for c in range(n2)]
     reducer = OrbitIdealReducer(rs, gens, max(max(x.max_degree() for x in entries), 2))
     assert any(not reducer.reduce(x).is_zero() for x in entries)
+
+
+@pytest.mark.parametrize("route", ["plain", "shift", "pbw"])
+def test_hankel_lemma_agrees_with_entrywise_oracle(route):
+    # for N = 2 both routes run: the lemma certifies what the direct
+    # reduction of all N^4 entries finds, and a p_1 target off by one fails both
+    hs, prof = _route_inputs(route)
+    quotient, data = nc_orbit(hs, prof)
+    assert data.certificates["entrywise"]
+    assert hankel_lemma(hs, prof, data.H, quotient.targets) == (None, None)
+    assert entrywise_residuals(hs, prof, data.ebar, quotient.targets) == (4, [])
+    targets = list(quotient.targets)
+    targets[0] = targets[0] - 1
+    with pytest.raises(IdentityFailed, match="is not the orbit target"):
+        hankel_lemma(hs, prof, data.H, targets)
+    assert entrywise_residuals(hs, prof, data.ebar, targets)[1]
+
+
+def _perturbed(H, positions):
+    """H with 1 added at each of `positions`."""
+    rows = [list(row) for row in H.data]
+    for k, l in positions:
+        rows[k][l] = rows[k][l] + 1
+    return MatrixS(H.table, rows)
+
+
+@pytest.mark.parametrize("positions,message", [
+    ([(0, 0)], "is not Tr_R"),
+    ([(0, 1)], "not a Hankel matrix"),
+    ([(0, 1), (1, 0)], "p_1 .* is not the orbit target"),
+    ([(1, 1)], "p_2 .* is not the orbit target"),
+])
+def test_hankel_lemma_refuses_perturbed_hankel_values(positions, message):
+    hs, prof = _route_inputs("plain")
+    quotient, data = nc_orbit(hs, prof)
+    with pytest.raises(IdentityFailed, match=message):
+        hankel_lemma(hs, prof, _perturbed(data.H, positions), quotient.targets)
+
+
+@pytest.mark.parametrize("builder,prof,truncation", [
+    (lambda: build_dj_gl(3, parse_scalar("7/5", EMPTY_TABLE)),
+     num_profile([1, 2, 3], [], q="7/5"), 4),
+    (lambda: build_superflip(2, 1), num_profile([1, 2], [3], q=1), 6),
+], ids=["dj_gl3", "superflip21"])
+def test_hankel_lemma_leaves_p4_unreduced_on_perturbed_target(builder, prof, truncation):
+    # s = 3: p_4 is reduced at truncation 4, then at 4 + mn.  With the p_1
+    # target and the Hankel values at index 1 both off by one, every scalar
+    # condition holds, but p_4 no longer reduces to its value
+    hs = builder()
+    quotient, data = nc_orbit(hs, prof)
+    assert data.certificates["entrywise"]
+    assert data.certificates["reduction_degree"] == truncation
+    targets = list(quotient.targets)
+    targets[0] = targets[0] + 1
+    H = _perturbed(data.H, [(0, 1), (1, 0)])
+    assert hankel_lemma(hs, prof, H, targets) == (truncation, 4)
 
 
 def two_sided_span(algebra, generators, max_degree):
