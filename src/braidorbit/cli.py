@@ -241,10 +241,11 @@ def _cmd_mrea(args) -> Report:
     rep.add("hatted-dims", True)
     if verdict.regular:
         size = prof.m + prof.n
-        orbit.higher_power_reduction(prof, size + 2)
+        coefficients = orbit.orbit_coefficients(prof)
+        orbit.higher_power_reduction(prof, size + 2, coeff_values=coefficients[0])
         rep.add("hatted-recurrence", True, checked_up_to=size + 2)
         if args.builtin or args.file:
-            quotient, data = orbit.nc_orbit(hs, prof)
+            quotient, data = orbit.nc_orbit(hs, prof, coefficients)
             rep.add("nc-orbit-pipeline", True, mode=quotient.mode)
             for name, value in sorted(data.certificates.items()):
                 if isinstance(value, bool):

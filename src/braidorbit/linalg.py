@@ -28,7 +28,7 @@ from .errors import (
     ResourceLimit,
     SingularMatrix,
 )
-from .scalar import Poly, Scalar, SymbolTable, poly_div_exact, poly_lcm
+from .scalar import Poly, Scalar, SymbolTable, over_common_denominator, poly_div_exact
 
 _ENTRY_CAP = 800_000_000
 
@@ -382,7 +382,8 @@ def _clear_rows(m: MatrixS) -> tuple[list, Scalar]:
 
     A constant matrix stays over Q: its rows are the entries' Fractions and
     the factor is 1.  Otherwise each row is multiplied by the lcm of its
-    denominators and becomes a row of Polys.
+    denominators and becomes a row of Polys; the multipliers are the gcd
+    cofactors of ``over_common_denominator``, so no entry is divided.
     """
     table = m.table
     values = [[a.const_or_none() for a in row] for row in m.data]
@@ -391,14 +392,7 @@ def _clear_rows(m: MatrixS) -> tuple[list, Scalar]:
     rows = []
     factor = Scalar.one(table)
     for row in m.data:
-        common = Poly.const(table, 1)
-        for a in row:
-            if not a.den.is_constant():
-                common = poly_lcm(common, a.den)
-        cleared = []
-        for a in row:
-            mult = poly_div_exact(common, a.den)
-            cleared.append(a.num * mult)
+        common, cleared = over_common_denominator(table, [(a.num, a.den) for a in row])
         rows.append(cleared)
         factor = factor * Scalar.make(common, Poly.const(table, 1))
     return rows, factor

@@ -495,13 +495,16 @@ def hankel_lemma(hs: HeckeSymmetry, profile: EigenvalueProfile, H: MatrixS,
     return truncation, open_js[0]
 
 
-def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile) -> tuple:
+def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile,
+             coefficients: Optional[tuple] = None) -> tuple:
     """Orbit quotient and certified idempotent of a regular profile.
 
     The profile picks the algebra: the plain one for h = 0, the modified
     one otherwise, at every q and for every symmetry whose modified
     relations are a PBW deformation of the plain ones.  Idempotency is
     certified through `hankel_lemma`; `entrywise` holds when it closes.
+    `coefficients` is the profile's `orbit_coefficients`, when the caller
+    has them already.
     """
     verdict = regularity(profile)
     if not verdict.regular:
@@ -510,7 +513,7 @@ def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile) -> tuple:
     H = hankel(profile)
     if det_bareiss(H).is_zero():
         raise ExceptionalProfile("Hankel matrix is singular on this profile")
-    coeffs, mode = orbit_coefficients(profile)
+    coeffs, mode = coefficients or orbit_coefficients(profile)
     higher_power_reduction(profile, max(2 * size - 2, size + 1), coeff_values=coeffs)
     targets = [power_sum_param(k, profile) for k in range(1, size + 1)]
     A, B = gradient_matrices(hs, size)

@@ -906,6 +906,25 @@ def poly_gcd_cofactors(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     return _from_int(table, h, 1), _from_int(table, F, f._d), _from_int(table, G, g._d)
 
 
+def over_common_denominator(table: SymbolTable, pairs) -> tuple:
+    """(L, [n_i * (L / d_i)]) for the Poly fractions n_i/d_i, L the lcm of the d_i.
+
+    A new d shares g with the running L: with L = g*u and d = g*v the lcm
+    becomes L*v, the earlier multipliers gain the factor v and the new one
+    is u, so no division is made.
+    """
+    one = Poly.const(table, 1)
+    L, nums, mults = one, [], []
+    for n, d in pairs:
+        _, u, v = poly_gcd_cofactors(L, d)
+        nums.append(n)
+        if v != one:
+            mults = [m * v for m in mults]
+            L = L * v
+        mults.append(u)
+    return L, [n * m for n, m in zip(nums, mults)]
+
+
 def poly_lcm(f: Poly, g: Poly) -> Poly:
     if f.is_zero() or g.is_zero():
         return Poly.zero(f.table)

@@ -14,12 +14,41 @@ through the quantum Newton relations
 and its even/odd factorization follow the hook-content bookkeeping of the
 (n^m)-rectangle shapes.
 
-The numeric side binds power sums to an eigenvalue profile: quantum
-dimensions weight each eigenvalue, and Schur values are computed through the
-elementary-generator route (Newton recursion on values, then the Jacobi-Trudi
-determinant on values).  That route computes the same evaluation homomorphism
-as expanding into the p-basis and substituting, but keeps intermediates small;
-both routes are exposed and their agreement is part of the test suite.
+The numeric side binds power sums to an eigenvalue profile (mu | nu) with
+parameters q and h.  The power sum p_k = sum_i d_i mu_i^k + sum_j d'_j nu_j^k
+weights each eigenvalue by its quantum dimension (``quantum_dims``), but the
+power sums never form the weights.  With Q = q - q^-1 the function
+
+    F(z) = prod_i (z - q^-2 mu_i - q^-1 h)/(z - mu_i)
+           * prod_j (z - q^2 nu_j + q h)/(z - nu_j)
+
+has residue (Q v - h) d_v at every eigenvalue v.  Summing the residues of
+z^k F against its expansion F = sum_r f_r z^-r at infinity (f_0 = 1) gives
+
+    Q p_{k+1} - h p_k = f_{k+1}   (k >= 0),      p_0 = q^(n-m) [m-n]_q,
+
+the second because F(h/Q) = q^(2(n-m)).  In w = 1/z, F is
+prod(1 - a_v w) / prod(1 - v w), with a_mu = q^-2 mu + q^-1 h and
+a_nu = q^2 nu - q h, so the f_r obey one linear recurrence whose
+coefficients are signed elementary symmetric functions of the eigenvalues.
+At q = +-1 (Q = 0) the identity reads -h p_k = f_{k+1}, and with h = 0 as
+well every weight is q^-1 or -q.  At h = 0 the elementary values have the
+second generating function
+
+    sum_k a_k t^k = A(t) = prod_i (1 + q^-1 mu_i t) / prod_j (1 + q nu_j t),
+
+and F(w) = A(-w/q) / A(-q w) is the quantum Newton identity itself; at
+h != 0 there is no product form, and the a-values come from the Newton
+recursion on the power sums.  Both series run on one common denominator, in
+ints for constant profiles and in polynomials otherwise (Macdonald,
+Symmetric Functions and Hall Polynomials, ch. I; the quantum Newton form is
+that of Gurevich, Pyatov and Saponov, Lett. Math. Phys. 41, 1997).
+
+Schur values are computed through the elementary-generator route (the
+a-values, then the Jacobi-Trudi determinant on values).  That route computes
+the same evaluation homomorphism as expanding into the p-basis and
+substituting, but keeps intermediates small; both routes are exposed and
+their agreement is part of the test suite.
 """
 
 from __future__ import annotations
@@ -27,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import BadDeformationParameter, DegenerateProfile
@@ -35,7 +64,7 @@ from .scalar import (
     Poly,
     Scalar,
     SymbolTable,
-    poly_gcd_cofactors,
+    over_common_denominator,
     qnumber,
 )
 
@@ -474,7 +503,7 @@ def _partitions_of(w: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue profiles and quantum dimensions
+# eigenvalue profiles, quantum dimensions and their generating functions
 # ---------------------------------------------------------------------------
 
 
@@ -505,7 +534,8 @@ class EigenvalueProfile:
         self.m = len(self.mus)
         self.n = len(self.nus)
         self._dims: Optional[QuantumDims] = None
-        self._psum: Optional[tuple] = None
+        self._psum: Optional[_PowerSums] = None
+        self._aseries: Optional[_RatioSeries] = None
         self._pvals: dict = {}
         self._avals: list = []
         allv = self.mus + self.nus
@@ -582,79 +612,173 @@ def quantum_dims(profile: EigenvalueProfile) -> QuantumDims:
     return profile._dims
 
 
-def _int_cofactors(a: int, b: int) -> tuple:
-    g = gcd(a, b)
-    return g, a // g, b // g
+def _parts(x: Scalar, ints: bool) -> tuple:
+    """(numerator, denominator) of x, as ints or as Polys."""
+    if ints:
+        f = x.as_fraction()
+        return f.numerator, f.denominator
+    return x.num, x.den
 
 
-def _over_common_denominator(pairs, one, cofactors) -> tuple:
-    """(L, [n_i * (L / d_i)]) for the fractions n_i/d_i, L the lcm of the d_i.
+def _quotient(num, den, table: SymbolTable) -> Scalar:
+    """num/den for two ints (one Fraction) or two Polys (one Scalar.make)."""
+    if isinstance(num, int):
+        return Scalar.from_fraction(table, Fraction(num, den))
+    return Scalar.make(num, den)
 
-    A new d shares g with the running L: with L = g*u and d = g*v the lcm
-    becomes L*v, the earlier multipliers gain the factor v and the new one
-    is u, so no division is made.
+
+def _expand(roots: list, one) -> list:
+    """Coefficients of prod(1 - x w) over the roots, lowest degree first."""
+    coeffs = [one]
+    for x in roots:
+        coeffs.append(-(x * coeffs[-1]))
+        for r in range(len(coeffs) - 2, 0, -1):
+            coeffs[r] = coeffs[r] - x * coeffs[r - 1]
+    return coeffs
+
+
+class _RatioSeries:
+    """g_r = C^r [w^r] prod(1 - a w) / prod(1 - b w) for Scalars a and b.
+
+    C is the lcm of the denominators of every a and b, so N(w) =
+    prod(1 - C a w) and D(w) = prod(1 - C b w) have integral coefficients and
+    D g = N gives g_r = N_r - sum_{1 <= i <= min(r, #b)} D_i g_{r-i}: ring
+    arithmetic on ints (``ints``, every value constant) or on Polys, with no
+    gcd and no division.  ``series[r]`` extends the recurrence to r.
     """
-    L, nums, mults = one, [], []
-    for n, d in pairs:
-        _, u, v = cofactors(L, d)
-        nums.append(n)
-        mults = [m * v for m in mults] + [u]
-        L = L * v
-    return L, [n * m for n, m in zip(nums, mults)]
 
-
-def _power_sum_terms(profile: EigenvalueProfile) -> tuple:
-    """(L, B, [(c_i, a_i)]) with p_k = sum_i c_i a_i^k / (L B^k), once per profile.
-
-    For the weights n_i/den_i and the eigenvalues v_i = a'_i/b_i, L is the
-    lcm of the den_i, B the lcm of the b_i, c_i = n_i (L/den_i) and
-    a_i = a'_i (B/b_i).  On a constant profile these are ints, so it builds
-    no Poly; otherwise they are Polys.
-    """
-    if profile._psum is None:
-        dims = quantum_dims(profile)
-        scalars = [*dims.d, *dims.dprime, *profile.mus, *profile.nus]
-        if all(x.is_constant() for x in scalars):
-            pairs = [(f.numerator, f.denominator) for f in map(Scalar.as_fraction, scalars)]
-            one, cofactors = 1, _int_cofactors
+    def __init__(self, tops: list, bottoms: list, table: SymbolTable, ints: bool):
+        if ints:
+            fracs = [x.as_fraction() for x in tops + bottoms]
+            self.C = lcm(*(f.denominator for f in fracs))
+            cleared = [f.numerator * (self.C // f.denominator) for f in fracs]
+            one = 1
         else:
-            pairs = [(x.num, x.den) for x in scalars]
-            one, cofactors = Poly.const(profile.table, 1), poly_gcd_cofactors
-        w = len(dims.d) + len(dims.dprime)
-        L, c = _over_common_denominator(pairs[:w], one, cofactors)
-        B, a = _over_common_denominator(pairs[w:], one, cofactors)
-        profile._psum = (L, B, list(zip(c, a)))
-    return profile._psum
+            self.C, cleared = over_common_denominator(
+                table, [(x.num, x.den) for x in tops + bottoms])
+            one = Poly.const(table, 1)
+        self._zero = one - one
+        self._N = _expand(cleared[:len(tops)], one)
+        self._D = _expand(cleared[len(tops):], one)
+        self._g = [one]
+
+    def __getitem__(self, r: int):
+        g, N, D = self._g, self._N, self._D
+        while len(g) <= r:
+            t = len(g)
+            acc = N[t] if t < len(N) else self._zero
+            for i in range(1, min(t, len(D) - 1) + 1):
+                acc = acc - D[i] * g[t - i]
+            g.append(acc)
+        return g[r]
+
+
+def _all_constant(profile: EigenvalueProfile) -> bool:
+    return all(x.is_constant() for x in (*profile.mus, *profile.nus, profile.q, profile.h))
+
+
+class _PowerSums:
+    """p_k, k >= 1, of a profile from the expansion of F at infinity.
+
+    With Q = q - q^-1 and f_r = [z^-r] F, Q p_k - h p_{k-1} = f_k (module
+    docstring).  Unrolled, u_k = Q^(k+1) p_k satisfies u_k = Q^k f_k +
+    h u_{k-1} from u_0 = Q p_0 = 1 - q^(2(n-m)).  The f_r come cleared from
+    ``_RatioSeries`` (f_r = g_r / C^r), and u_k is carried cleared too: with
+    Q = Qn/Qd, h = hn/hd and q^(2(n-m)) = tn/td,
+    U_k = td hd^k Qd^k C^k u_k obeys U_k = td hd^k Qn^k g_k + hn Qd C U_{k-1}
+    and p_k = U_k Qd / (td hd^k C^k Qn^(k+1)).  Each new p_k is one
+    normalisation.  At Q = 0 (q = +-1) the identity reads -h p_{k-1} = f_k,
+    and at Q = 0 with h = 0 every weight is q^-1 or -q.
+    """
+
+    def __init__(self, profile: EigenvalueProfile):
+        q, h = profile.q, profile.h
+        self.q, self.mus, self.nus, self.table = q, profile.mus, profile.nus, profile.table
+        ints = _all_constant(profile)
+        qi = q.inv()
+        tops = ([qi * (qi * mu + h) for mu in profile.mus]
+                + [q * (q * nu - h) for nu in profile.nus])
+        self.series = _RatioSeries(tops, profile.mus + profile.nus, profile.table, ints)
+        Q = q - qi
+        self.Q = None if Q.is_zero() else _parts(Q, ints)
+        self.h = None if h.is_zero() else _parts(h, ints)
+        if self.Q is not None and self.h is not None:
+            tn, self.td = _parts(q ** (2 * (profile.n - profile.m)), ints)
+            self.U = [self.td - tn]
+
+    def __getitem__(self, k: int) -> Scalar:
+        g, C, table = self.series, self.series.C, self.table
+        if self.Q is None:
+            if self.h is None:
+                zero, q = Scalar.zero(table), self.q
+                return (q.inv() * sum((mu ** k for mu in self.mus), zero)
+                        - q * sum((nu ** k for nu in self.nus), zero))
+            hn, hd = self.h
+            return _quotient(-(g[k + 1] * hd), C ** (k + 1) * hn, table)
+        Qn, Qd = self.Q
+        if self.h is None:
+            return _quotient(g[k] * Qd, C ** k * Qn, table)
+        hn, hd = self.h
+        U, td = self.U, self.td
+        while len(U) <= k:
+            t = len(U)
+            U.append(td * hd ** t * Qn ** t * g[t] + hn * Qd * C * U[t - 1])
+        return _quotient(U[k] * Qd, td * hd ** k * C ** k * Qn ** (k + 1), table)
 
 
 def power_sum_param(k: int, profile: EigenvalueProfile) -> Scalar:
-    """sum_i d_i mu_i^k + sum_j d'_j nu_j^k; k = 0 gives sum d + sum d'.
+    """p_k = sum_i d_i mu_i^k + sum_j d'_j nu_j^k, from the generating function.
 
-    The weights do not depend on k, so the sum is taken over the common
-    denominator L B^k of ``_power_sum_terms`` and normalised once, by one
-    ``Scalar.make``.
+    Res_{z=v} F = (Qv - h) d_v, so summing the residues of z^k F gives
+    Q p_{k+1} - h p_k = f_{k+1} with f_r = [z^-r] F, and F(h/Q) =
+    q^(2(n-m)) gives p_0 = q^(n-m) [m-n]_q (module docstring).  The weights
+    are never formed: ``_PowerSums`` runs the recurrence of F's expansion
+    and normalises each new p_k once.  p_k is a polynomial in the
+    eigenvalues over a power of q, so it is defined at coincident symbolic
+    eigenvalues too.
     """
     if k not in profile._pvals:
-        L, B, terms = _power_sum_terms(profile)
-        den = L * B ** k
-        if isinstance(den, int):
-            num = sum(c * a ** k for c, a in terms)
-            profile._pvals[k] = Scalar.from_fraction(profile.table, Fraction(num, den))
+        if k == 0:
+            q, d = profile.q, profile.m - profile.n
+            if d == 0:
+                value = Scalar.zero(profile.table)
+            elif d > 0:
+                value = q ** (-d) * qnumber(d, q)
+            else:
+                value = -(q ** (-d) * qnumber(-d, q))
         else:
-            num = sum((c * a ** k for c, a in terms), Poly.zero(profile.table))
-            profile._pvals[k] = Scalar.make(num, den)
+            if profile._psum is None:
+                profile._psum = _PowerSums(profile)
+            value = profile._psum[k]
+        profile._pvals[k] = value
     return profile._pvals[k]
 
 
 def a_values_param(profile: EigenvalueProfile, K: int) -> list:
-    """[a_0(param)..a_K(param)] as Scalars."""
-    if len(profile._avals) > K:
-        return profile._avals[: K + 1]
-    ps = [power_sum_param(k, profile) for k in range(1, K + 1)]
-    avals = [Scalar.one(profile.table)] + newton_a_from_p(
-        ps, profile.q, Scalar.one(profile.table))
-    profile._avals = avals
-    return avals
+    """[a_0(param)..a_K(param)] as Scalars.
+
+    At h = 0 they are the coefficients of the product
+    sum_k a_k t^k = prod_i (1 + q^-1 mu_i t) / prod_j (1 + q nu_j t), whose
+    ratio A(-w/q)/A(-qw) is F: that is the quantum Newton identity.  At
+    h != 0 there is no product form, and the Newton recursion runs on the
+    power sums.
+    """
+    avals, table = profile._avals, profile.table
+    if len(avals) <= K:
+        if profile.is_mrea:
+            one = Scalar.one(table)
+            ps = [power_sum_param(k, profile) for k in range(1, K + 1)]
+            avals[:] = [one] + newton_a_from_p(ps, profile.q, one)
+        else:
+            if profile._aseries is None:
+                q = profile.q
+                profile._aseries = _RatioSeries(
+                    [-(q.inv() * mu) for mu in profile.mus], [-(q * nu) for nu in profile.nus],
+                    table, _all_constant(profile))
+            series = profile._aseries
+            for r in range(len(avals), K + 1):
+                avals.append(_quotient(series[r], series.C ** r, table))
+    return avals[: K + 1]
 
 
 def eval_symexpr(expr: GenPoly, profile: EigenvalueProfile) -> Scalar:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from braidorbit.errors import IdentityFailed
 from braidorbit.hecke import (
     birank,
     build_dj_gl,
@@ -32,6 +33,7 @@ from braidorbit.symfun import (
     EigenvalueProfile,
     GenPoly,
     Partition,
+    QuantumDims,
     ch_coefficients,
     ch_factorized,
     elementary_symmetric,
@@ -135,8 +137,28 @@ def test_criterion_5_hankel_determinant():
     assert hankel_det_check(1, 1, "symbolic")
     assert hankel_det_check(2, 1, "symbolic")
     assert hankel_det_check(3, 2, "sampled", seed=42, trials=7)
-    _report(5, "Hankel determinant factorization: symbolic for (2|0), (1|1), "
-               "(2|1); 7 exact sampled points for (3|2)")
+    _report(5, "det of the Hankel matrix of power sums read off the generating "
+               "function F equals prod d * Vandermonde^2 of the quantum dimensions: "
+               "symbolic for (2|0), (1|1), (2|1); 7 exact sampled points for (3|2)")
+
+
+@pytest.mark.parametrize("m, n", [(2, 0), (1, 1), (2, 1)])
+def test_criterion_5_fails_on_perturbed_weights(monkeypatch, m, n):
+    # the power sums do not read the weights, so wrong weights change the
+    # target and not the determinant
+    import braidorbit.orbit as orbit_module
+    import braidorbit.symfun as symfun_module
+
+    real = symfun_module.quantum_dims
+
+    def perturbed(profile):
+        dims = real(profile)
+        return QuantumDims([2 * d + 1 for d in dims.d], [2 * d + 1 for d in dims.dprime])
+
+    for module in (orbit_module, symfun_module):
+        monkeypatch.setattr(module, "quantum_dims", perturbed)
+    with pytest.raises(IdentityFailed):
+        hankel_det_check(m, n, "symbolic")
 
 
 def test_criterion_6_worked_example_32():

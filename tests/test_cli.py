@@ -127,6 +127,22 @@ def test_mrea_cli(capsys):
     assert "nc-orbit-pipeline: PASS" in out
 
 
+def test_mrea_cli_computes_orbit_coefficients_once(capsys, monkeypatch):
+    calls = []
+    real = orbit.orbit_coefficients
+
+    def counting(profile):
+        calls.append(profile)
+        return real(profile)
+
+    monkeypatch.setattr(orbit, "orbit_coefficients", counting)
+    code, out = run(capsys, "mrea", "--builtin", "dj_gl", "--N", "2",
+                    "--q", "7/5", "--mu", "1,2", "--h", "h")
+    assert code == 0
+    assert "hatted-recurrence: PASS" in out and "nc-orbit-pipeline: PASS" in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [
     "mrea --builtin flip --N 2 --q 1 --mu 0,3*h --h h",
     "mrea --builtin superflip --m 1 --n 1 --q 1 --mu 0 --nu 3*h --h h",

@@ -134,6 +134,41 @@ def test_det_vandermonde_cofactor_oracle():
     assert det_bareiss(m) == expected
 
 
+def test_det_clears_rows_by_cofactors_without_dividing(monkeypatch):
+    # every row has denominators sharing factors; _clear_rows builds its
+    # multipliers from gcd cofactors, and only the Bareiss steps divide
+    import braidorbit.linalg as linalg
+    import braidorbit.scalar as scalar
+
+    t = SymbolTable(["a", "b", "c"])
+    m = mat(t, [["1/a", "b/(a*c)", "1"],
+                ["c/(a + b)", "a", "1/(b*c*(a + b))"],
+                ["b/2", "1/(a + b)^2", "a/c"]])
+    d = m.data
+    expected = (d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1])
+                - d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0])
+                + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0]))
+    inside, calls = [], []
+    clear, div = linalg._clear_rows, scalar.poly_div_exact
+
+    def traced_clear(mm):
+        inside.append(True)
+        try:
+            return clear(mm)
+        finally:
+            inside.pop()
+
+    def counting_div(f, g):
+        calls.append(bool(inside))
+        return div(f, g)
+
+    monkeypatch.setattr(linalg, "_clear_rows", traced_clear)
+    monkeypatch.setattr(linalg, "poly_div_exact", counting_div)
+    monkeypatch.setattr(scalar, "poly_div_exact", counting_div)
+    assert det_bareiss(m) == expected
+    assert calls and not any(calls)
+
+
 def test_det_equals_pivot_product_up_to_sign():
     rng = random.Random(5)
     t = EMPTY_TABLE

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from braidorbit.errors import DegenerateProfile
-from braidorbit.scalar import EMPTY_TABLE, Poly, Scalar, SymbolTable
+from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable
 from braidorbit.symfun import (
     EigenvalueProfile,
     GenPoly,
     NewtonConverter,
     Partition,
-    _power_sum_terms,
     a_values_param,
     ch_coefficients,
     ch_factorized,
@@ -408,26 +407,40 @@ def _shifted_base_profile():
 @pytest.mark.parametrize("make_profile", [
     lambda: sym_profile(3, 2),
     lambda: sym_profile(2, 1, with_h=True),
+    lambda: sym_profile(1, 2, with_h=True),
     _shifted_base_profile,
     lambda: num_profile(["1/2", 3], ["-5/3"], "7/5"),
-], ids=["symbols_32", "shifted_h_21", "hatted_base_21", "numeric_21"])
+    # q = +-1: Q = q - q^-1 vanishes, the residue identity reads
+    # -h p_k = f_(k+1), and at h = 0 every weight is q^-1 or -q
+    lambda: num_profile(["1/2", 3], ["-5/3"], 1, "2/3"),
+    lambda: num_profile(["1/2", 3], ["-5/3"], -1, "-5/4"),
+    lambda: num_profile(["1/2", 3], ["-5/3"], 1),
+    lambda: num_profile(["1/2", 3], ["-5/3"], -1),
+], ids=["symbols_32", "shifted_h_21", "shifted_h_12", "hatted_base_21", "numeric_21",
+        "numeric_q1_h", "numeric_qm1_h", "numeric_q1", "numeric_qm1"])
 def test_power_sum_param_matches_termwise_sum(make_profile):
     prof = make_profile()
     for k in range(prof.m + prof.n + 3):
         assert power_sum_param(k, prof) == _termwise_power_sum(k, prof), k
 
 
-def test_hatted_base_profile_sums_over_an_eigenvalue_denominator():
-    prof = _shifted_base_profile()
-    L, B, terms = _power_sum_terms(prof)
-    assert Scalar.make(B, Poly.symbol(prof.table, "q") ** 2 - Poly.const(prof.table, 1)) \
-        .is_constant()
-    assert len(terms) == 3
+def test_power_sum_param_never_forms_the_weights(monkeypatch):
+    import braidorbit.symfun as symfun
 
+    def refuse(profile):
+        raise AssertionError("power_sum_param formed the quantum dimensions")
 
-def test_power_sum_param_one_make_per_new_k(monkeypatch):
     prof = sym_profile(3, 2)
-    quantum_dims(prof)
+    expected = [_termwise_power_sum(k, sym_profile(3, 2)) for k in range(7)]
+    monkeypatch.setattr(symfun, "quantum_dims", refuse)
+    assert [power_sum_param(k, prof) for k in range(7)] == expected
+    assert prof._dims is None
+
+
+def test_power_sum_param_one_make_per_new_k_none_per_cached_k(monkeypatch):
+    prof = sym_profile(3, 2)
+    power_sum_param(0, prof)
+    power_sum_param(1, prof)  # builds the generating-function state
     calls = []
     make = Scalar.make
 
@@ -436,8 +449,40 @@ def test_power_sum_param_one_make_per_new_k(monkeypatch):
         return make(num, den)
 
     monkeypatch.setattr(Scalar, "make", staticmethod(counting_make))
-    for k in range(7):
+    for k in range(2, 8):
         power_sum_param(k, prof)
-        assert len(calls) == k + 1
-    power_sum_param(3, prof)
-    assert len(calls) == 7
+        assert len(calls) == k - 1
+    for k in range(8):
+        power_sum_param(k, prof)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("make_profile", [
+    lambda: sym_profile(3, 2),
+    lambda: sym_profile(2, 1),
+    lambda: sym_profile(1, 2),
+    _shifted_base_profile,
+    lambda: num_profile(["1/2", 3], ["-5/3"], "7/5"),
+    lambda: num_profile(["1/2", 3], ["-5/3"], -1),
+], ids=["symbols_32", "symbols_21", "symbols_12", "hatted_base_21", "numeric_21",
+        "numeric_q_minus_1"])
+def test_product_a_values_match_newton_on_termwise_sums(make_profile):
+    prof = make_profile()
+    K = prof.m + prof.n + 2
+    oracle = [_termwise_power_sum(k, prof) for k in range(1, K + 1)]
+    one = Scalar.one(prof.table)
+    assert a_values_param(prof, K) == [one] + newton_a_from_p(oracle, prof.q, one)
+
+
+def test_power_sums_defined_at_coincident_symbolic_eigenvalues():
+    # p_k is a polynomial in the eigenvalues over a power of q: the weights
+    # have poles where two eigenvalues meet, p_k takes its limit there
+    prof = sym_profile(2, 1)
+    mu1 = prof.mus[0]
+    merged = EigenvalueProfile([mu1, mu1], prof.nus, prof.q)
+    point = {"q": Fraction(7, 5), "mu1": Fraction(2, 3), "nu1": Fraction(-4, 7)}
+    for k in range(6):
+        assert power_sum_param(k, merged).evaluate(point) == \
+            power_sum_param(k, prof).evaluate({**point, "mu2": point["mu1"]}), k
+    with pytest.raises(DegenerateProfile):
+        quantum_dims(merged)
