@@ -27,6 +27,17 @@ lemma this obstruction lives in degree 3 for a Koszul top part (Braverman and
 Gaitsgory, *J. Algebra* 181, 1996; Polishchuk and Positselski, ch. 5), where
 it is the Jacobi identity of a Lie bracket; it is checked in every degree.
 
+Homogeneous relations are certified PBW at degree 3 (`pbw_certificate`).
+The pivot words of degree 2 are the *leading pairs*, and every word that
+contains one is a leading word of the ideal.  When dim A_3 equals the number
+of length-3 words with no leading pair, every overlap ambiguity resolves, and
+by Bergman's diamond lemma (*Adv. Math.* 29, 1978) B_k is the set of
+pair-free words in every degree.  `dims` then counts them by last letter,
+stepping through the allowed pairs, the transfer matrix of the graph of
+normal words (Ufnarovski, *Math. Notes* 31, 1982), instead of echelonizing
+the higher degrees.  `normal_words` and `normal_form` still build a degree
+when asked for it.
+
 `ideal_span` adds central inhomogeneous generators, certified so, on top of
 the relations: their ideal modulo the relations is spanned by the normal
 forms of u g with u a normal word, echelonized among normal words only,
@@ -69,6 +80,7 @@ class GradedQuotient:
         # degree k -> its normal form {normal word: coefficient}
         self.normal = [[()], [(a,) for a in range(letters)]]
         self.rewrites = [{}, {}]
+        self._certificate = None
         relations = list(relations)
         self._filtered = any(len(w) < 2 for r in relations for w in r)
         space = RowSpace()
@@ -125,10 +137,57 @@ class GradedQuotient:
                     space.add(self._keyed(row, k))
             self._close(space)
 
+    def pbw_certificate(self) -> tuple:
+        """(leading pairs, verdict) from degree 3.
+
+        The leading pairs are the pivot words of degree 2, the keys of
+        `rewrites[2]`.  Every word containing one leads an element of the
+        ideal, so B_3 lies among the length-3 words with no leading pair;
+        the verdict says it is all of them, dim A_3 equal to their count.
+        For quadratic rules every overlap ambiguity has length 3, so then
+        all of them resolve and B_k is the set of pair-free words in every
+        degree (Bergman's diamond lemma, *Adv. Math.* 29, 1978).
+        """
+        if self._certificate is None:
+            self.grow(3)
+            pairs = frozenset(self.rewrites[2])
+            counts = self._pair_free_step(pairs, self._last_letter_counts(2))
+            self._certificate = (pairs, sum(counts) == len(self.normal[3]))
+        return self._certificate
+
+    def _last_letter_counts(self, k: int) -> list:
+        counts = [0] * self.letters
+        for w in self.normal[k]:
+            counts[w[-1]] += 1
+        return counts
+
+    def _pair_free_step(self, pairs: frozenset, counts: list) -> list:
+        """Counts by last letter of the pair-free words one letter longer."""
+        top = self.letters
+        return [sum(counts[a] for a in range(top) if (a, b) not in pairs)
+                for b in range(top)]
+
     def dims(self, depth: int) -> list:
-        """dim A_k for k = 0..depth: the number of normal words of length k."""
-        self.grow(depth)
-        return [len(self.normal[k]) for k in range(depth + 1)]
+        """dim A_k for k = 0..depth: the number of normal words of length k.
+
+        When homogeneous relations pass `pbw_certificate`, nothing is built
+        above degree 3: B_k is then the set of pair-free words (Bergman),
+        and their counts by last letter are stepped through the allowed
+        pairs, the transfer matrix of Ufnarovski (*Math. Notes* 31, 1982).
+        Otherwise, and always with tails, whose obstruction is checked in
+        every degree, each degree is echelonized.
+        """
+        if depth <= 3 or self._filtered or not self.pbw_certificate()[1]:
+            self.grow(depth)
+            return [len(self.normal[k]) for k in range(depth + 1)]
+        pairs = self._certificate[0]
+        built = min(len(self.normal) - 1, depth)
+        out = [len(self.normal[k]) for k in range(built + 1)]
+        counts = self._last_letter_counts(built)
+        for _ in range(built, depth):
+            counts = self._pair_free_step(pairs, counts)
+            out.append(sum(counts))
+        return out
 
     def normal_words(self, degree: int) -> list:
         """B_degree, the basis of A_degree (of F_degree / F_degree-1 with

@@ -340,10 +340,15 @@ def multitrace(op: TensorOp, hs: HeckeSymmetry) -> Scalar:
 # ---------------------------------------------------------------------------
 #
 # Lambda_R = T(V)/<Im(q^-1 I + R)> and Sym_R = T(V)/<Im(q I - R)> are
-# quadratic algebras.  The graded engine builds each one degree by degree on
-# its normal words, so the k-th series coefficient is the number of normal
-# words of degree k; nothing is framed or echelonized in the N^k word space.
-# At numeric q the relations are converted to Fractions first.
+# quadratic algebras, and the k-th series coefficient is the number of normal
+# words of degree k.  The graded engine echelonizes each algebra up to degree
+# 3 only, over the Scalars of R, and there certifies it PBW: its degree-3
+# normal words are exactly the words with no degree-2 leading pair (Bergman's
+# diamond lemma).  Both algebras of the builtins pass in code order, and the
+# counts of all higher degrees then follow from the transfer matrix of
+# allowed pairs (Ufnarovski).  An algebra that fails the certificate, as one
+# from a file R may, is echelonized in every degree up to the depth instead.
+# Nothing is framed or echelonized in the N^k word space.
 
 
 @dataclass
@@ -364,6 +369,14 @@ def _column_relations(op: TensorOp) -> list:
     columns = op.mat.transpose().rows
     return [{divmod(r, N): v for r, v in sorted(columns.get(c, {}).items())}
             for c in range(op.mat.ncols)]
+
+
+def quadratic_relations(hs: HeckeSymmetry) -> tuple[list, list]:
+    """The relations of Lambda_R and of Sym_R: the columns of q^-1 I + R and
+    of q I - R, as {(a, b): coefficient} on words of length 2."""
+    ident = TensorOp.identity(hs.table, hs.N, 2)
+    return (_column_relations(ident.scale(hs.q.inv()) + hs.R),
+            _column_relations(ident.scale(hs.q) - hs.R))
 
 
 def _fit_rational(series: Sequence[int], depth: int):
@@ -429,11 +442,8 @@ def birank(hs: HeckeSymmetry, depth: int) -> BiRankReport:
             if qnumber(k, hs.q).is_zero():
                 raise BadDeformationParameter(f"{k}_q vanishes at q = {qv}")
             kq_checked.append(k)
-    ident = TensorOp.identity(hs.table, hs.N, 2)
-    anti_proj = ident.scale(hs.q.inv()) + hs.R      # its image is quotiented for Lambda
-    sym_proj = ident.scale(hs.q) - hs.R             # its image is quotiented for Sym
-    minus, plus = (GradedQuotient(hs.N, _column_relations(proj)).dims(depth)
-                   for proj in (anti_proj, sym_proj))
+    minus, plus = (GradedQuotient(hs.N, relations).dims(depth)
+                   for relations in quadratic_relations(hs))
     fit = _fit_rational(minus, depth)
     fit_prev = _fit_rational(minus, depth - 1)
     if fit is None or fit_prev is None or fit != fit_prev:

@@ -19,6 +19,8 @@ made and refused with ``ResourceLimit`` above the entry cap.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -378,17 +380,22 @@ def flip_op(table: SymbolTable, N: int) -> TensorOp:
 
 
 def _clear_rows(m: MatrixS) -> tuple[list, Scalar]:
-    """Rows over an integral domain, and the Scalar they were scaled by.
+    """Rows over Z or Z[x], and the Scalar they were scaled by.
 
-    A constant matrix stays over Q: its rows are the entries' Fractions and
-    the factor is 1.  Otherwise each row is multiplied by the lcm of its
-    denominators and becomes a row of Polys; the multipliers are the gcd
-    cofactors of ``over_common_denominator``, so no entry is divided.
+    Each row is multiplied by the lcm of its denominators.  A constant
+    matrix becomes rows of ints and the factor is the product of the lcms.
+    Otherwise the rows become Polys; the multipliers are the gcd cofactors
+    of ``over_common_denominator``, so no entry is divided.
     """
     table = m.table
     values = [[a.const_or_none() for a in row] for row in m.data]
     if all(c is not None for row in values for c in row):
-        return values, Scalar.one(table)
+        rows, factor = [], 1
+        for row in values:
+            common = math.lcm(*(c.denominator for c in row))
+            rows.append([c.numerator * (common // c.denominator) for c in row])
+            factor *= common
+        return rows, Scalar.from_fraction(table, factor)
     rows = []
     factor = Scalar.one(table)
     for row in m.data:
@@ -398,12 +405,19 @@ def _clear_rows(m: MatrixS) -> tuple[list, Scalar]:
     return rows, factor
 
 
+def _poly_quotient(f: Poly, g: Poly) -> Poly:
+    q = poly_div_exact(f, g)
+    if q is None:
+        raise ArithmeticError("Bareiss division not exact")
+    return q
+
+
 def det_bareiss(m: MatrixS) -> Scalar:
     """Exact determinant by one-step fraction-free (Bareiss) elimination.
 
-    The entries are Fractions or Polys (see ``_clear_rows``); the exact
-    division by the previous pivot is ``/`` for the first and
-    ``poly_div_exact`` for the second.
+    The entries are ints or Polys (see ``_clear_rows``), and the division
+    of each step by the previous pivot is exact: ``//`` for ints and
+    ``poly_div_exact`` for Polys.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("determinant of non-square matrix")
@@ -412,9 +426,10 @@ def det_bareiss(m: MatrixS) -> Scalar:
     if n == 0:
         return Scalar.one(table)
     rows, factor = _clear_rows(m)
-    over_q = isinstance(rows[0][0], Fraction)
-    zero, prev = (Fraction(0), Fraction(1)) if over_q else \
-        (Poly.zero(table), Poly.const(table, 1))
+    if isinstance(rows[0][0], int):
+        zero, prev, exact = 0, 1, operator.floordiv
+    else:
+        zero, prev, exact = Poly.zero(table), Poly.const(table, 1), _poly_quotient
     sign = 1
     for k in range(n - 1):
         piv = None
@@ -428,20 +443,16 @@ def det_bareiss(m: MatrixS) -> Scalar:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
         pivot = rows[k][k]
+        rk = rows[k]
         for i in range(k + 1, n):
             ri = rows[i]
-            rk = rows[k]
             head = ri[k]
             for j in range(k + 1, n):
-                num = ri[j] * pivot - head * rk[j]
-                q = num / prev if over_q else poly_div_exact(num, prev)
-                if q is None:
-                    raise ArithmeticError("Bareiss division not exact")
-                ri[j] = q
+                ri[j] = exact(ri[j] * pivot - head * rk[j], prev)
         prev = pivot
     det = rows[n - 1][n - 1] if sign > 0 else -rows[n - 1][n - 1]
-    if over_q:
-        return Scalar.from_fraction(table, det)
+    if isinstance(det, int):
+        return Scalar.from_fraction(table, det) / factor
     return Scalar.make(det, Poly.const(table, 1)) / factor
 
 

@@ -5,7 +5,9 @@ echelonizes the products among all words of the degree, with the columns
 in word-code order; its dimensions and residuals are what the engine's
 normal words and normal forms must reproduce exactly.  Relations with
 lower-degree tails must either give a PBW deformation or name the word
-that their obstruction makes dependent.
+that their obstruction makes dependent.  Above degree 3, the dims of an
+algebra certified PBW are counted without building the degree, and must
+equal the lengths of the normal words that the echelon builds.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from braidorbit.hecke import (
     build_flip,
     build_q_super,
     build_superflip,
+    quadratic_relations,
 )
 from braidorbit.linalg import RowSpace, TensorOp
 from braidorbit.rea import NCPoly, is_zero_mod, relation_space
@@ -108,6 +111,59 @@ def test_birank_series_match_word_space_reference(name):
         expected = [1, N] + [N ** k - reference_slice(N, relations, k).rank
                              for k in range(2, depth + 1)]
         assert series == expected
+
+
+CERTIFIED = {
+    "flip(3)": lambda: build_flip(3),
+    "superflip(2,1)": lambda: build_superflip(2, 1),
+    "superflip(3,2)": lambda: build_superflip(3, 2),
+    "dj_gl(3,7/5)": lambda: build_dj_gl(3, Scalar.from_fraction(EMPTY_TABLE, Fraction(7, 5))),
+    "dj_gl(3,q)": lambda: build_dj_gl(3, Scalar.from_symbol(SymbolTable(["q"]), "q")),
+    "q_super(2,1,9/7)": lambda: build_q_super(2, 1, Scalar.from_fraction(EMPTY_TABLE,
+                                                                         Fraction(9, 7))),
+    "q_super(1,2,9/7)": lambda: build_q_super(1, 2, Scalar.from_fraction(EMPTY_TABLE,
+                                                                         Fraction(9, 7))),
+}
+
+
+def echelon_dims(letters, relations, depth):
+    algebra = GradedQuotient(letters, relations)
+    return [len(algebra.normal_words(k)) for k in range(depth + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_pbw_certified_dims_match_echelon_dims(name):
+    # Lambda_R and Sym_R pass the degree-3 certificate in code order, and
+    # dims counts pair-free words above degree 3 without building them
+    hs = CERTIFIED[name]()
+    for relations in quadratic_relations(hs):
+        algebra = GradedQuotient(hs.N, relations)
+        dims = algebra.dims(8)
+        assert algebra.pbw_certificate()[1]
+        assert len(algebra.normal) == 4
+        assert dims == echelon_dims(hs.N, relations, 8)
+
+
+def test_failed_certificate_falls_back_to_echelon():
+    # the reflection equation algebra of dj_gl(2) is not PBW in code order
+    hs = SYMMETRIES["dj_gl(2,7/5)"]()
+    quotient = relation_space(hs, "minus").quotient
+    assert not quotient.pbw_certificate()[1]
+    dims = quotient.dims(5)
+    assert len(quotient.normal) == 6
+    assert dims == echelon_dims(quotient.letters, quotient.relations, 5)
+
+
+def test_mutated_leading_pair_flips_the_verdict():
+    # the exterior algebra on three letters leads on the pairs (a, b), a <= b
+    relations = quadratic_relations(build_flip(3))[0]
+    algebra = GradedQuotient(3, relations)
+    pairs, verdict = algebra.pbw_certificate()
+    assert verdict and pairs == {(a, b) for a in range(3) for b in range(a, 3)}
+    mutant = GradedQuotient(3, relations)
+    mutant.grow(3)
+    mutant.rewrites[2][(1, 0)] = mutant.rewrites[2].pop((0, 0))
+    assert not mutant.pbw_certificate()[1]
 
 
 def lie_quotient(brackets, letters=3):

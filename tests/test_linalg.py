@@ -187,6 +187,53 @@ def test_det_equals_pivot_product_up_to_sign():
             assert d == prod
 
 
+def fraction_det(rows):
+    """Oracle: Gaussian elimination over Fractions; (determinant, row swaps)."""
+    a = [list(row) for row in rows]
+    n, det, swaps = len(a), Fraction(1), 0
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return Fraction(0), swaps
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det, swaps = -det, swaps + 1
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det, swaps
+
+
+def test_constant_det_matches_fraction_elimination():
+    # rows are cleared to ints and every Bareiss step is an exact //
+    rng = random.Random(24)
+    t = EMPTY_TABLE
+    seen = {"swap": 0, "singular": 0, "negative": 0, "large": 0}
+    for trial in range(80):
+        n = rng.randint(1, 6)
+        big = rng.randint(10 ** 20, 10 ** 30)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, big, big + 1)))
+                 for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0 and n > 1:
+            rows[0][0] = Fraction(0)          # the first pivot needs a swap
+        if trial % 5 == 0 and n > 1:
+            c = Fraction(-3, big)
+            rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+        if trial % 7 == 0:
+            for row in rows:
+                row[n - 1] = Fraction(0)      # no pivot in the last column
+        expected, swaps = fraction_det(rows)
+        got = det_bareiss(MatrixS(t, [[Scalar.from_fraction(t, x) for x in row]
+                                      for row in rows]))
+        assert got == expected
+        seen["swap"] += swaps > 0
+        seen["singular"] += expected == 0
+        seen["negative"] += expected < 0
+        seen["large"] += expected.denominator > 10 ** 20
+    assert all(seen.values()), seen
+
+
 def test_inverse_solve_nullspace():
     t = EMPTY_TABLE
     m = mat(t, [[2, 1], [1, 1]])
