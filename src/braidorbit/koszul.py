@@ -27,8 +27,9 @@ applied to vectors as a chain of mat-vecs.
 Quantum-trace elements have closed hatted coefficient vectors: the trace
 vector of Tr_R L^k is the transpose of (trailing matrix) . C^(x k), with the
 trailing matrix R1 for k = 2 and R2 R1 for k = 3.  The first differential
-sends Tr_R L^k to the pairing of generator differentials with the gradient
-cofactors, identical to the gradient-matrix columns of the orbit machinery.
+sends Tr_R L^k to the pairing of generator differentials with gradient
+column k of `orbit.gradient_matrices`; power sums and gradient columns
+come off one ladder of L powers, `rea.l_powers`.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ from .errors import (
     IdentityFailed,
     ProjectorAxiomFailed,
 )
+from .graded import accumulate
 from .hecke import HeckeSymmetry, c_power
 from .linalg import RowSpace, SparseMat, TensorOp, embed_at
-from .rea import NCPoly, generating_matrix, nc_matmul, scalar_matrix_to_nc
+from .orbit import gradient_matrices
+from .rea import NCPoly, l_at_first, nc_matmul, scalar_matrix_to_nc
 from .scalar import Scalar, qnumber
 
 
@@ -69,24 +72,9 @@ class HattedBasis:
 
     @staticmethod
     def build(hs: HeckeSymmetry, arity: int) -> "HattedBasis":
-        N = hs.N
-        table = hs.table
         if arity not in (2, 3):
             raise ValueError("hatted bases are built for arity 2 and 3")
-        dim = N ** arity
-
-        def l_at_first() -> list:
-            L = generating_matrix(N, table)
-            zero = NCPoly.zero(N, table)
-            out = [[zero] * dim for _ in range(dim)]
-            rest = N ** (arity - 1)
-            for i in range(N):
-                for j in range(N):
-                    for t in range(rest):
-                        out[i * rest + t][j * rest + t] = L[i][j]
-            return out
-
-        l1 = l_at_first()
+        l1 = l_at_first(hs, arity)
         r12 = scalar_matrix_to_nc(embed_at(hs.R, 1, arity))
         r12i = scalar_matrix_to_nc(embed_at(hs.r_inv, 1, arity))
         l2bar = nc_matmul(nc_matmul(r12, l1), r12i)
@@ -103,22 +91,11 @@ class HattedBasis:
         return basis
 
     def invertible(self) -> bool:
-        N = self.hs.N
-        base = N * N
-        dim2 = (N ** self.arity) ** 2
         space = RowSpace()
-        count = 0
         for row in self.elements:
             for e in row:
-                vec = {}
-                for w, c in e.terms.items():
-                    code = 0
-                    for g in w:
-                        code = code * base + g
-                    vec[code] = c
-                if space.add(vec):
-                    count += 1
-        return count == dim2
+                space.add(e.terms)
+        return space.rank == (self.hs.N ** self.arity) ** 2
 
     def to_standard(self, coeffs: dict) -> NCPoly:
         """Expand a hatted coefficient vector into the word basis."""
@@ -283,8 +260,7 @@ class ProjectorSet:
         u1 = p1(v)
         u3 = p1(p2(u1))
         u5 = p1(p2(u3))
-        return _vec_scale(_vec_add(_vec_sub(u5, _vec_scale(u3, a)),
-                                   _vec_scale(u1, b)), lead)
+        return _lincomb((u5, lead), (u3, -a * lead), (u1, b * lead))
 
 
 def build_projectors(hs: HeckeSymmetry) -> ProjectorSet:
@@ -331,31 +307,12 @@ def build_projectors(hs: HeckeSymmetry) -> ProjectorSet:
 # ---------------------------------------------------------------------------
 
 
-def _vec_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        val = -v if s is None else s - v
-        if val:
-            out[k] = val
-        elif s is not None:
-            del out[k]
-    return out
-
-
-def _vec_scale(a: dict, c: Scalar) -> dict:
-    return {k: c * v for k, v in a.items()} if c else {}
-
-
-def _vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        val = v if s is None else s + v
-        if val:
-            out[k] = val
-        elif s is not None:
-            del out[k]
+def _lincomb(*pairs) -> dict:
+    """The sum of c * vec over the (vec, c) pairs, with no zero kept."""
+    out: dict = {}
+    for vec, c in pairs:
+        for key, v in vec.items():
+            accumulate(out, key, c * v)
     return out
 
 
@@ -379,10 +336,10 @@ def conjecture1_check(k: int, hs: HeckeSymmetry,
     ps = projectors or build_projectors(hs)
     if k == 2:
         v = trace_vector(2, hs)
-        residual = _vec_sub(ps.p2_plus.apply(v), v)
+        residual = _lincomb((ps.p2_plus.apply(v), 1), (v, -1))
     else:
         v = trace_vector(3, hs)
-        residual = _vec_sub(ps.apply_p3_plus(v), ps.p2_plus_pos2.apply(v))
+        residual = _lincomb((ps.apply_p3_plus(v), 1), (ps.p2_plus_pos2.apply(v), -1))
     vector_equal = not residual
     if vector_equal:
         quotient_zero = True
@@ -418,7 +375,7 @@ def p2_action_identity(hs: HeckeSymmetry,
     rows = []
 
     def check(name: str, lhs: dict, rhs: dict):
-        ok = not _vec_sub(lhs, rhs)
+        ok = lhs == rhs     # no zero is stored and Scalars are canonical
         rows.append((name, ok))
         if not ok:
             raise IdentityFailed(f"identity row {name!r} fails for {hs.name}")
@@ -428,7 +385,7 @@ def p2_action_identity(hs: HeckeSymmetry,
     structure = (r1 * r2 + r2 * r1).scale(Scalar.from_fraction(table, 2)) \
         - r1.scale(xi) + (r1 * r2 * r1).scale(xi)
     check("p2-action", ps.p2_plus_pos2.apply(v3),
-          _vec_scale(vec(structure), two_q2_inv))
+          _lincomb((vec(structure), two_q2_inv)))
 
     # invariance of the two invariant combinations
     for name, target in (("ia", ps.ia_vec), ("ib", ps.ib_vec)):
@@ -443,56 +400,29 @@ def p2_action_identity(hs: HeckeSymmetry,
         vb = vec(rb)
         vaba = vec(ra * rb * ra)
         vab_ba = vec(ra * rb + rb * ra)
-        ia, ib = ps.ia_vec, ps.ib_vec
+        ia, ib, t = ps.ia_vec, ps.ib_vec, two_q2_inv
         check(f"table-{posname}-r_near", op.apply(va), va)
-        rhs = _vec_scale(
-            _vec_add(_vec_sub(_vec_scale(ia, Scalar.from_fraction(table, 2)),
-                              _vec_scale(ib, xi)),
-                     _vec_scale(va, -(xi * xi + 2))), two_q2_inv)
-        check(f"table-{posname}-r_far", op.apply(vb), rhs)
-        rhs = _vec_scale(
-            _vec_add(_vec_add(_vec_scale(ia, xi * xi + 2), _vec_scale(ib, xi)),
-                     _vec_scale(va, Scalar.from_fraction(table, -2))), two_q2_inv)
-        check(f"table-{posname}-rba", op.apply(vaba), rhs)
-        rhs = _vec_scale(
-            _vec_add(_vec_add(_vec_scale(ia, xi * 2),
-                              _vec_scale(ib, Scalar.from_fraction(table, 4))),
-                     _vec_scale(va, xi * 2)), two_q2_inv)
-        check(f"table-{posname}-rab_plus_rba", op.apply(vab_ba), rhs)
+        check(f"table-{posname}-r_far", op.apply(vb),
+              _lincomb((ia, 2 * t), (ib, -xi * t), (va, -(xi * xi + 2) * t)))
+        check(f"table-{posname}-rba", op.apply(vaba),
+              _lincomb((ia, (xi * xi + 2) * t), (ib, xi * t), (va, -2 * t)))
+        check(f"table-{posname}-rab_plus_rba", op.apply(vab_ba),
+              _lincomb((ia, xi * 2 * t), (ib, 4 * t), (va, xi * 2 * t)))
     return rows
 
 
 def differential_d1(hs: HeckeSymmetry, k: int) -> list:
     """First differential of Tr_R L^k: [(generator (i, j), cofactor)].
 
-    The cofactor of d l[i][j] is the gradient entry (L^(k-1) C)[j][i]; the
-    overall degree factor of the full differential is applied by callers.
+    The cofactor of d l[i][j] is the gradient entry (L^(k-1) C)[j][i], read
+    off column k of `orbit.gradient_matrices`; the overall degree factor of
+    the full differential is applied by callers.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    A, _ = gradient_matrices(hs, k)
     N = hs.N
-    table = hs.table
-    c = hs.c_op.data
-    if k == 1:
-        powers = None
-    else:
-        L = generating_matrix(N, table)
-        powers = L
-        for _ in range(k - 2):
-            powers = nc_matmul(powers, L)
-    out = []
-    for i in range(N):
-        for j in range(N):
-            if k == 1:
-                cof = NCPoly.const(N, table, c[j][i])
-            else:
-                cof = NCPoly.zero(N, table)
-                for t in range(N):
-                    cv = c[t][i]
-                    if cv:
-                        cof = cof + powers[j][t] * cv
-            out.append(((i, j), cof))
-    return out
+    return [((i, j), A[j * N + i][k - 1]) for i in range(N) for j in range(N)]
 
 
 def d_squared_check_r2(hs: HeckeSymmetry,

@@ -39,15 +39,14 @@ from .errors import (
     ShiftUnavailable,
 )
 from .graded import by_degree, ideal_span
-from .hecke import HeckeSymmetry
+from .hecke import HeckeSymmetry, rtrace
 from .linalg import MatrixS, det_bareiss, inverse
 from .rea import (
     WORD_SPACE_CAP,
     NCPoly,
     RelationSpace,
-    generating_matrix,
+    l_powers,
     nc_matmul,
-    power_sum_element,
     relation_space,
 )
 from .scalar import Poly, Scalar, SymbolTable, poly_lcm
@@ -236,42 +235,18 @@ def gradient_matrices(hs: HeckeSymmetry, size: int) -> tuple:
     Position (i, j) of the flattened matrix index is j*N + i; column k of A
     holds (L^(k-1) C)[j][i], row k of B holds (L^(k-1))[i][j], so that
     (B A)_{kl} = Tr_R L^(k+l-2) holds word by word in the free algebra.
+    Both come off one ladder of L powers.
     """
     N = hs.N
-    table = hs.table
-    powers = [None]  # L^0 handled separately
-    L = generating_matrix(N, table)
-    acc = None
-    for k in range(1, size):
-        acc = L if acc is None else nc_matmul(acc, L)
-        powers.append(acc)
-    c = hs.c_op.data
-    a_cols = []
-    b_rows = []
-    for k in range(1, size + 1):
-        acol = [None] * (N * N)
-        brow = [None] * (N * N)
+    cmat = [[NCPoly.const(N, hs.table, v) for v in row] for row in hs.c_op.data]
+    A = [[None] * size for _ in range(N * N)]
+    B = [[None] * (N * N) for _ in range(size)]
+    for k, lk in enumerate(l_powers(hs, size - 1)):
+        lc = nc_matmul(lk, cmat)
         for i in range(N):
             for j in range(N):
-                pos = j * N + i
-                if k == 1:
-                    acol[pos] = NCPoly.const(N, table, c[j][i])
-                    brow[pos] = (NCPoly.one(N, table) if i == j
-                                 else NCPoly.zero(N, table))
-                else:
-                    lk = powers[k - 1]
-                    # (L^(k-1) C)[j][i]
-                    entry = NCPoly.zero(N, table)
-                    for t in range(N):
-                        cv = c[t][i]
-                        if cv:
-                            entry = entry + lk[j][t] * cv
-                    acol[pos] = entry
-                    brow[pos] = lk[i][j]
-        a_cols.append(acol)
-        b_rows.append(brow)
-    A = [[a_cols[k][pos] for k in range(size)] for pos in range(N * N)]
-    B = [[b_rows[k][pos] for pos in range(N * N)] for k in range(size)]
+                A[j * N + i][k] = lc[j][i]
+                B[k][j * N + i] = lk[i][j]
     return A, B
 
 
@@ -280,8 +255,7 @@ def free_hankel_identity(hs: HeckeSymmetry, A: list, B: list) -> bool:
     gradient matrices (A, B) of `gradient_matrices`."""
     size = len(B)
     ba = nc_matmul(B, A)
-    expect = [NCPoly.const(hs.N, hs.table, hs.c_op.trace())]
-    expect += [power_sum_element(j, hs) for j in range(1, 2 * size - 1)]
+    expect = [rtrace(lk, hs) for lk in l_powers(hs, 2 * size - 2)]
     return all(ba[k][l] == expect[k + l] for k in range(size) for l in range(size))
 
 
@@ -483,8 +457,9 @@ def hankel_lemma(hs: HeckeSymmetry, profile: EigenvalueProfile, H: MatrixS,
     def const(c):
         return NCPoly.const(hs.N, hs.table, c)
 
-    gens = [power_sum_element(k, hs) - const(t) for k, t in enumerate(targets, 1)]
-    rest = {j: power_sum_element(j, hs) - const(values[j]) for j in open_js}
+    psums = [rtrace(lk, hs) for lk in l_powers(hs, 2 * s - 2)]
+    gens = [psums[k] - const(t) for k, t in enumerate(targets, 1)]
+    rest = {j: psums[j] - const(values[j]) for j in open_js}
     rs = (relation_space(hs, "mrea", profile.h) if profile.is_mrea
           else relation_space(hs, "minus"))
     for truncation in sorted({2 * s - 2, 2 * s - 2 + profile.m * profile.n}):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from braidorbit import koszul
 from braidorbit.cli import main
 from braidorbit.errors import ProjectorAxiomFailed
+from braidorbit.graded import accumulate
 from braidorbit.hecke import build_dj_gl, build_flip, build_q_super
 from braidorbit.koszul import (
     HattedBasis,
@@ -19,7 +21,7 @@ from braidorbit.koszul import (
 )
 from braidorbit.linalg import RowSpace, SparseMat, embed_at
 from braidorbit.orbit import gradient_matrices
-from braidorbit.rea import power_sum_element
+from braidorbit.rea import NCPoly, power_sum_element
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable, qnumber
 
 
@@ -327,15 +329,63 @@ def _diff(a, b):
     return out
 
 
+def path_sum(hs, k, weight):
+    """sum of weight(i0, ik) l[i0][i1] ... l[i(k-1)][ik] over the index paths
+    (i0, ..., ik): each word is read off its path, no matrix is multiplied."""
+    N = hs.N
+    terms = {}
+    for path in itertools.product(range(N), repeat=k + 1):
+        w = weight(path[0], path[-1])
+        if w:
+            accumulate(terms, tuple(a * N + b for a, b in zip(path, path[1:])), w)
+    return NCPoly(N, hs.table, terms)
+
+
+def path_power_sum(hs, k):
+    """Tr_R L^k = sum l[i0][i1] ... l[i(k-1)][ik] C[ik][i0]."""
+    c = hs.c_op.data
+    return path_sum(hs, k, lambda a, z: c[z][a])
+
+
+def path_gradient(hs, k, i, j):
+    """(L^(k-1) C)[j][i] = sum l[j][i1] ... l[i(k-2)][t] C[t][i]."""
+    c = hs.c_op.data
+    return path_sum(hs, k - 1, lambda a, z: c[z][i] if a == j else 0)
+
+
+def path_pairing(hs, k, i, j):
+    """(L^(k-1))[i][j]."""
+    return path_sum(hs, k - 1, lambda a, z: Scalar.one(hs.table) if (a, z) == (i, j) else 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_dj_gl(2, qc("7/5")),
+    lambda: build_q_super(1, 1, qc("9/7")),
+    lambda: build_q_super(2, 1, qc("9/7")),
+    lambda: build_dj_gl(2, Scalar.from_symbol(SymbolTable(["q"]), "q")),
+], ids=["dj_gl(2,7/5)", "q_super(1,1,9/7)", "q_super(2,1,9/7)", "dj_gl(2,q)"])
+def test_power_sums_and_gradients_match_index_paths(build):
+    """Tr_R L^k, the gradient columns and pairing rows (gradient_matrices),
+    and the first differential, for k = 1..4, against the index-path sums."""
+    hs = build()
+    N = hs.N
+    A, B = gradient_matrices(hs, 4)
+    for k in range(1, 5):
+        assert power_sum_element(k, hs) == path_power_sum(hs, k)
+        d1 = dict(differential_d1(hs, k))
+        assert len(d1) == N * N
+        for i in range(N):
+            for j in range(N):
+                grad = path_gradient(hs, k, i, j)
+                assert A[j * N + i][k - 1] == grad and d1[(i, j)] == grad
+                assert B[k - 1][j * N + i] == path_pairing(hs, k, i, j)
+
+
 def test_differential_d1_matches_gradient():
     for hs in (build_flip(2), build_dj_gl(2, qc("7/5"))):
         for k in (1, 2, 3):
-            cols = differential_d1(hs, k)
-            A, _ = gradient_matrices(hs, k)
-            N = hs.N
-            for (i, j), cof in cols:
-                pos = j * N + i
-                assert cof == A[pos][k - 1]
+            for (i, j), cof in differential_d1(hs, k):
+                assert cof == path_gradient(hs, k, i, j)
     # classical shape at k = 2: cofactor of d l[i][j] is l[j][i]
     flip = build_flip(2)
     for (i, j), cof in differential_d1(flip, 2):

@@ -387,11 +387,6 @@ def test_mrea_shift_and_pbw_agree_on_centrality():
     assert ok_q and ok_1
 
 
-def test_ch_verify_reports_slow_path_flag():
-    ok, report = ch_verify(build_dj_gl(2, qc("7/5")), 2, 0)
-    assert ok and report["slow_path"] is False
-
-
 def test_centrality_trivial_on_commutative_quotient():
     flip = build_flip(2)
     rs = relation_space(flip, "minus")
