@@ -65,10 +65,6 @@ class ShiftUnavailable(EngineError):
     pass
 
 
-class ChFailed(EngineError):
-    pass
-
-
 class RecurrenceMismatch(EngineError):
     pass
 
@@ -78,10 +74,6 @@ class ExceptionalProfile(EngineError):
 
 
 class ProjectorAxiomFailed(EngineError):
-    pass
-
-
-class ConjectureFailed(EngineError):
     pass
 
 

@@ -35,11 +35,6 @@ from .scalar import Poly, Scalar, SymbolTable, over_common_denominator, poly_div
 _ENTRY_CAP = 800_000_000
 
 
-def set_entry_cap(cap: int) -> None:
-    global _ENTRY_CAP
-    _ENTRY_CAP = cap
-
-
 def _check_alloc(entries: int) -> None:
     if entries > _ENTRY_CAP:
         raise ResourceLimit(f"allocation of {entries} entries exceeds cap {_ENTRY_CAP}")
@@ -454,44 +449,6 @@ def det_bareiss(m: MatrixS) -> Scalar:
     if isinstance(det, int):
         return Scalar.from_fraction(table, det) / factor
     return Scalar.make(det, Poly.const(table, 1)) / factor
-
-
-def rowreduce(m: MatrixS) -> tuple[MatrixS, list, int, list]:
-    """Reduced row echelon form with the fixed left-to-right pivot scan.
-
-    Returns (rref, pivot column list, swap sign, pivot values as encountered).
-    """
-    data = [list(row) for row in m.data]
-    table = m.table
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    pivot_values = []
-    sign = 1
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if data[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            data[r], data[piv] = data[piv], data[r]
-            sign = -sign
-        pv = data[r][c]
-        pivot_values.append(pv)
-        inv = pv.inv()
-        data[r] = [inv * x for x in data[r]]
-        for i in range(nrows):
-            if i != r and data[i][c]:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return MatrixS(table, data), pivots, sign, pivot_values
 
 
 def inverse(m: MatrixS) -> MatrixS:

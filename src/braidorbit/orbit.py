@@ -406,20 +406,17 @@ class OrbitIdealReducer:
 
 @dataclass
 class OrbitQuotient:
-    hs: HeckeSymmetry
-    profile: EigenvalueProfile
     targets: list            # parametrized p_1..p_{m+n}
     mode: str                # "braided" | "nc" | "nc-classical"
 
 
 @dataclass
 class CotangentData:
-    A: list                  # N^2 x (m+n) gradient matrix (NCPoly)
-    Bmat: list               # (m+n) x N^2 pairing matrix (NCPoly)
+    """The certified idempotent ebar = A H^-1 B of a regular orbit."""
+
     H: MatrixS               # Hankel matrix of parametrized power sums
     ebar: list               # N^2 x N^2 idempotent (NCPoly entries)
-    e: list                  # complement I - ebar
-    certificates: dict
+    certificates: dict       # verdicts by name, and the truncation the lemma reduced at
     not_closed: Optional[str] = None   # the p_j the lemma left unreduced, and where
 
 
@@ -505,12 +502,8 @@ def nc_orbit(hs: HeckeSymmetry, profile: EigenvalueProfile,
             not_closed = f"p_{j} at truncation {truncation}"
     hinv = [[NCPoly.const(hs.N, hs.table, v) for v in row] for row in inverse(H).data]
     ebar = nc_matmul(nc_matmul(A, hinv), B)
-    one = NCPoly.one(hs.N, hs.table)
-    e = [[one - x if r == c else -x for c, x in enumerate(row)] for r, row in enumerate(ebar)]
-    data = CotangentData(A=A, Bmat=B, H=H, ebar=ebar, e=e, certificates=certificates,
-                         not_closed=not_closed)
-    quotient = OrbitQuotient(hs=hs, profile=profile, targets=targets, mode=mode)
-    return quotient, data
+    data = CotangentData(H=H, ebar=ebar, certificates=certificates, not_closed=not_closed)
+    return OrbitQuotient(targets=targets, mode=mode), data
 
 
 def cotangent(hs: HeckeSymmetry, profile: EigenvalueProfile) -> CotangentData:

@@ -105,17 +105,11 @@ class SymbolTable:
         return name in self._index
 
     @staticmethod
-    def for_profile(m: int, n: int, *, symbolic_q: bool = True, with_h: bool = False,
-                    extra: Sequence[str] = ()) -> "SymbolTable":
+    def for_profile(m: int, n: int, *, with_h: bool = False) -> "SymbolTable":
         """Table with the conventional names for an (m|n) eigenvalue profile."""
-        names = []
-        if symbolic_q:
-            names.append("q")
-        if with_h:
-            names.append("h")
+        names = ["q"] + (["h"] if with_h else [])
         names += [f"mu{i}" for i in range(1, m + 1)]
         names += [f"nu{j}" for j in range(1, n + 1)]
-        names += list(extra)
         return SymbolTable(names)
 
 
@@ -371,11 +365,6 @@ class Poly:
 # stored forms are shared.
 
 _new_object = object.__new__
-
-
-def _int_form(p: Poly) -> tuple[dict, int]:
-    """(P, d) with p = P/d, P integral and d the lcm of p's denominators."""
-    return p._P, p._d
 
 
 def _from_int(table: SymbolTable, P: dict, d: int) -> Poly:
@@ -1035,9 +1024,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self._n == 0
-
-    def is_one(self) -> bool:
-        return self._n == 1 and self._d == 1
 
     def __bool__(self) -> bool:
         return self._n != 0

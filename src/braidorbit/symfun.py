@@ -122,10 +122,6 @@ class Partition:
         width = self.parts[0]
         return Partition([sum(1 for p in self.parts if p > j) for j in range(width)])
 
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
     def __len__(self) -> int:
         return len(self.parts)
 

@@ -1,9 +1,10 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from braidorbit import orbit
+from braidorbit import hecke, orbit
 from braidorbit.cli import main
 
 # the R-matrix file of the README: Drinfeld-Jimbo gl(2) at symbolic q
@@ -228,3 +229,60 @@ def test_file_based_symmetry(tmp_path, capsys):
     code, out = run(capsys, "birank", "--file", str(path))
     assert code == 0
     assert "bi-rank: (2|0)" in out
+
+
+def test_check_r_forms_the_yang_baxter_residual_once(capsys, monkeypatch):
+    calls = []
+    residual = hecke.yang_baxter_residual
+
+    def counting(R):
+        calls.append(R)
+        return residual(R)
+
+    monkeypatch.setattr(hecke, "yang_baxter_residual", counting)
+    code, out = run(capsys, "check-r", "--builtin", "dj_gl", "--N", "3", "--q", "7/5")
+    assert code == 0
+    assert out.splitlines()[:3] == ["yang_baxter: PASS", "hecke: PASS", "skew_inverse: PASS"]
+    assert len(calls) == 1
+
+
+def test_check_r_failing_braiding_exits_1_and_names_the_residual(tmp_path, capsys):
+    # R still braids, but its eigenvalues are q and -1/q, not 2 and -1/2
+    doc = dict(README_R, q="2")
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-r", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "NotHecke" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "check-r --builtin flip --N 0",
+    "check-r --builtin dj_gl --N -2 --q 7/5",
+    "check-r --builtin superflip --m 0 --n 0",
+    "check-r --builtin q_super --m -1 --n 2 --q 7/5",
+    '{"dim": 0, "entries": []}',
+    '{"dim": -1, "entries": []}',
+    '{"dim": 1.5, "entries": []}',
+])
+def test_impossible_dimension_exits_2(tmp_path, capsys, argv):
+    if argv.startswith("{"):
+        path = tmp_path / "r.json"
+        path.write_text(argv)
+        argv = ["check-r", "--file", str(path)]
+    else:
+        argv = argv.split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_readme_command_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        prog, *argv = line.split()
+        assert prog == "braidorbit"
+        assert main(argv) == 0, line

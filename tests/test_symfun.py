@@ -39,7 +39,7 @@ def qconst(v):
 
 
 def sym_profile(m, n, with_h=False):
-    t = SymbolTable.for_profile(m, n, symbolic_q=True, with_h=with_h)
+    t = SymbolTable.for_profile(m, n, with_h=with_h)
     q = Scalar.from_symbol(t, "q")
     h = Scalar.from_symbol(t, "h") if with_h else None
     mus = [Scalar.from_symbol(t, f"mu{i}") for i in range(1, m + 1)]
