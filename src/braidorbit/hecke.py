@@ -8,6 +8,15 @@ Tr_2 R12 Psi23 = sigma13, the reindexed inverse of R's partial transpose) must
 exist.  The partial traces B = Tr_1 Psi and C = Tr_2 Psi of the skew inverse
 define the quantum trace Tr_R M = Tr(M C).
 
+The residuals are only tested for zero, so each is formed up to a nonzero
+factor.  An operator whose entries are all constant is first cleared of its
+denominators (``linalg.clear_denominators``): multiplied by their lcm D, it
+has int entries, and its products and sums run on ints.  The Yang-Baxter
+residual is then D^3 times R12 R23 R12 - R23 R12 R23, the Hecke residual
+D_A D_B times (qI - R)(q^-1 I + R), and the skew-inverse residual D_R D_Psi
+times Tr_2 R12 Psi23 - sigma13.  An operator with a non-constant entry, as at
+symbolic q, keeps its Scalars.
+
 Matrix convention: R and Psi are sparse ``TensorOp``s whose entries are
 stored operator-style, ``mat.rows[out][in]``, and
 R(e_i (x) e_j) = sum_kl R[(k,l)][(i,j)] e_k (x) e_l with multi-indices encoded
@@ -38,6 +47,7 @@ from .linalg import (
     SparseMat,
     TensorOp,
     _check_alloc,
+    clear_denominators,
     embed_at,
     flip_op,
     partial_trace,
@@ -94,23 +104,41 @@ class HeckeSymmetry:
 # ---------------------------------------------------------------------------
 
 
+def _cleared(op: TensorOp) -> tuple:
+    """``clear_denominators(op)``; op itself and the factor 1 when an entry
+    is not constant, as at symbolic q."""
+    cleared = clear_denominators(op)
+    return cleared if cleared is not None else (op, Scalar.one(op.table))
+
+
 def yang_baxter_residual(R: TensorOp) -> TensorOp:
-    """R12 R23 R12 - R23 R12 R23."""
-    r12 = embed_at(R, 1, 3)
-    r23 = embed_at(R, 2, 3)
-    return r12 * r23 * r12 - r23 * r12 * r23
+    """R12 R23 R12 - R23 R12 R23 as P R12 - R23 P with P = R12 R23, times
+    D^3 for a constant R cleared of its denominators (lcm D)."""
+    r, _ = _cleared(R)
+    r12 = embed_at(r, 1, 3)
+    r23 = embed_at(r, 2, 3)
+    p = r12 * r23
+    return p * r12 - r23 * p
 
 
 def hecke_residual(R: TensorOp, q: Scalar) -> TensorOp:
-    """(qI - R)(q^-1 I + R)."""
+    """(qI - R)(q^-1 I + R), times D_A D_B when the factors are constant
+    and cleared of their denominators (lcms D_A and D_B)."""
     ident = TensorOp.identity(R.table, R.N, 2)
-    return (ident.scale(q) - R) * (ident.scale(q.inv()) + R)
+    a, _ = _cleared(ident.scale(q) - R)
+    b, _ = _cleared(ident.scale(q.inv()) + R)
+    return a * b
 
 
 def skew_inverse_residual(R: TensorOp, psi: TensorOp) -> TensorOp:
-    """Tr_2 R12 Psi23 - sigma13, computed through the tensor-op route."""
-    traced = partial_trace(embed_at(R, 1, 3) * embed_at(psi, 2, 3), 2)
-    return traced - flip_op(R.table, R.N)
+    """Tr_2 R12 Psi23 - sigma13, times D_R D_Psi when R and Psi are
+    constant and cleared of their denominators, through the tensor-op route."""
+    r, d_r = _cleared(R)
+    p, d_psi = _cleared(psi)
+    traced = partial_trace(embed_at(r, 1, 3) * embed_at(p, 2, 3), 2)
+    N, d = R.N, d_r * d_psi
+    sigma = {j * N + i: {i * N + j: d} for i in range(N) for j in range(N)}
+    return traced - TensorOp(N, 2, SparseMat(N * N, N * N, sigma), R.table)
 
 
 def solve_skew_inverse(R: TensorOp) -> TensorOp:
@@ -148,6 +176,8 @@ def validate(name: str, N: int, table: SymbolTable, q: Scalar, R: TensorOp) -> H
     # former N^4-unknown skew-inverse system; the N^2 x N^2 inverse needs far
     # fewer, but the bound is kept until a measurement replaces it.
     _check_alloc(N ** 4 * (N * N + 1))
+    # each residual is a nonzero multiple of its identity, on ints when the
+    # operators are constant: only its vanishing is read
     if not yang_baxter_residual(R).is_zero():
         raise NotYangBaxter(f"{name}: Yang-Baxter residual is nonzero")
     if not hecke_residual(R, q).is_zero():

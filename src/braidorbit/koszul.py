@@ -12,8 +12,11 @@ symmetrizers are its quadratic combinations:
 
 and the cubic symmetrizer on three factors is assembled out of the two
 position embeddings of P+ with the documented constants.  Every operator here
-is sparse: the braidings are ``TensorOp``s, and Q is the Kronecker product of
-their stored entries.
+is sparse: the braidings are ``TensorOp``s.  At arity 2, Q is the Kronecker
+product of their stored entries.  At arity 3, Q_i = R_i^T (x) R_i^-1 is never
+stored: column jl of P+ at position i is the outer product of row j of R_i
+with column l of R_i^-1 (plus the swapped pair and the identity), built when
+a vector first needs it (``ProjectorSet.apply``).
 
 The projector axioms are identities in the Hecke algebra: T_i -> R_i^T and
 T_i -> R_i are homomorphisms from H_3(q) once ``hecke.validate`` has certified
@@ -21,8 +24,8 @@ the braid and Hecke relations of R, and Q_i = R_i^T (x) R_i^-1 is the image
 of T_i (x) T_i^-1.  So the axioms are certified exactly, at the symmetry's
 q, in a 16-dimensional faithful representation of H_3(q) (x) H_3(q) built
 from the irreducible representations of H_3(q) (``symmetrizer_certificate``).
-No product of two arity-3 operators is formed for a symmetry: P+(3) is
-applied to vectors as a chain of mat-vecs.
+No operator on arity-3 coefficient vectors (N^6 x N^6) is formed for a
+symmetry: P+(3) is applied to vectors as a chain of column sums.
 
 Quantum-trace elements have closed hatted coefficient vectors: the trace
 vector of Tr_R L^k is the transpose of (trailing matrix) . C^(x k), with the
@@ -34,7 +37,7 @@ come off one ladder of L powers, `rea.l_powers`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -114,14 +117,18 @@ class HattedBasis:
         return total
 
 
+def _hatted(xc: SparseMat) -> dict:
+    """Hatted coefficients {a * dim + b: (X C^(x k))[b][a]} from X C^(x k)."""
+    dim = xc.nrows
+    return {a * dim + b: v for b, row in xc.rows.items() for a, v in row.items()}
+
+
 def vec_from_structure(x: TensorOp, hs: HeckeSymmetry) -> dict:
     """Hatted coefficients of Tr_R(1..k)(L1 L2bar ... . X) for numeric X.
 
     The coefficient of the (a, b) hatted element is (X C^(x k))[b][a].
     """
-    xc = x.mat * c_power(hs, x.arity)
-    dim = xc.nrows
-    return {a * dim + b: v for b, row in xc.rows.items() for a, v in row.items()}
+    return _hatted(x.mat * c_power(hs, x.arity))
 
 
 def trace_vector(k: int, hs: HeckeSymmetry) -> dict:
@@ -147,10 +154,15 @@ def _cubic_constants(q: Scalar) -> tuple:
     return a, b, lead
 
 
+def _plus_constants(q: Scalar) -> tuple:
+    """(c1, c2) = (q^2 + q^-2, (2_q)^-2) of P+ = c2 (c1 Id + Q + Q^-1)."""
+    return q ** 2 + q.inv() ** 2, (qnumber(2, q) ** 2).inv()
+
+
 def _sym_plus(s: SparseMat, q: Scalar) -> SparseMat:
     """P+ = ((q^2 + q^-2) Id + Q + Q^-1) / (2_q)^2, from s = Q + Q^-1."""
-    mid = SparseMat.identity(s.nrows, q ** 2 + q.inv() ** 2)
-    return (s + mid).scale((qnumber(2, q) ** 2).inv())
+    c1, c2 = _plus_constants(q)
+    return (s + SparseMat.identity(s.nrows, c1)).scale(c2)
 
 
 def _sym_minus(s: SparseMat, q: Scalar) -> SparseMat:
@@ -234,22 +246,33 @@ def symmetrizer_certificate(q: Scalar) -> list:
 
 @dataclass
 class ProjectorSet:
-    """The symmetrizer operators of one symmetry that checks apply to vectors.
+    """The symmetrizers of one symmetry, in the form the checks apply them.
 
-    P+(3) is never formed: ``apply_p3_plus`` evaluates it on a vector as a
-    chain of mat-vecs with P+1 and P+2.  The hatted bases are built on first
-    read: only ``conjecture1_check`` reads one, when a vector equality fails.
+    At arity 2, P+ and P- are stored operators.  At arity 3 no operator on
+    coefficient vectors (N^6 x N^6) is formed.  P+ at position i is applied
+    to v as the sum of v's entries v_jl times column jl of
+    P+_i = c2 (c1 Id + Q_i + Q_i^-1), with c1 = q^2 + q^-2, c2 = (2_q)^-2
+    and Q_i = R_i^T (x) R_i^-1.  Column jl is built on first use, from row j
+    of R_i and column l of R_i^-1 (and the swapped pair for Q_i^-1), and
+    kept, so every check on this set shares it.  P+(3) is applied as a chain
+    of five such products (``apply_p3_plus``).  The hatted bases are built
+    on first read: only ``conjecture1_check`` reads one, when a vector
+    equality fails.
     """
 
     hs: HeckeSymmetry
     p2_plus: SparseMat
     p2_minus: SparseMat
-    p2_plus_pos1: SparseMat    # arity-3 embeddings
-    p2_plus_pos2: SparseMat
+    r1: TensorOp               # R and R^-1 embedded at positions 1, 2 of arity 3
+    r1i: TensorOp
+    r2: TensorOp
+    r2i: TensorOp
+    c3: SparseMat              # C^(x 3)
     cubic: tuple               # (a, b, lead) of P+(3)
     axioms: list               # rows of symmetrizer_certificate
     ia_vec: dict               # hatted vector of R1 R2 R1 + R1 + R2
     ib_vec: dict               # hatted vector of R1 R2 + R2 R1 - xi (R1 + R2)
+    columns: dict = field(default_factory=dict, repr=False)   # (i, jl) -> column jl of P+_i
 
     @cached_property
     def basis2(self) -> HattedBasis:
@@ -259,18 +282,74 @@ class ProjectorSet:
     def basis3(self) -> HattedBasis:
         return HattedBasis.build(self.hs, 3)
 
+    @cached_property
+    def trace3_vec(self) -> dict:
+        """Hatted vector of Tr_R L^3, as ``trace_vector(3, hs)``."""
+        return self.vec(self.r2 * self.r1)
+
+    def vec(self, x: TensorOp) -> dict:
+        """``vec_from_structure`` at arity 3, on the stored C^(x 3)."""
+        return _hatted(x.mat * self.c3)
+
+    @cached_property
+    def _factors(self) -> dict:
+        """position -> the (rows, columns) pairs whose outer products are
+        the columns of Q_i and of Q_i^-1."""
+        factors = {}
+        for pos, r, ri in ((1, self.r1, self.r1i), (2, self.r2, self.r2i)):
+            factors[pos] = ((r.mat.rows, ri.mat.transpose().rows),
+                            (ri.mat.rows, r.mat.transpose().rows))
+        return factors
+
+    @cached_property
+    def _plus(self) -> tuple:
+        return _plus_constants(self.hs.q)
+
+    def _column(self, position: int, jl: int) -> dict:
+        """Column jl of P+ at `position`.  Q = R^T (x) R^-1 on row-major
+        coefficients, so Q e_jl = sum_ab R[j][a] R^-1[b][l] e_ab."""
+        c1, c2 = self._plus
+        dim = self.r1.mat.nrows
+        j, l = divmod(jl, dim)
+        col: dict = {}
+        accumulate(col, jl, c1)
+        for rows, cols in self._factors[position]:
+            right = cols.get(l)
+            if not right:
+                continue
+            for a, x in rows.get(j, {}).items():
+                for b, y in right.items():
+                    accumulate(col, a * dim + b, x * y)
+        return {key: c2 * v for key, v in col.items()}
+
+    def apply(self, position: int, v: dict) -> dict:
+        """P+ at `position` (1 or 2) of arity 3 applied to the vector v."""
+        out: dict = {}
+        for jl, x in v.items():
+            col = self.columns.get((position, jl))
+            if col is None:
+                col = self.columns[(position, jl)] = self._column(position, jl)
+            for key, y in col.items():     # accumulate(out, key, y * x), inlined
+                s = out.get(key)
+                val = y * x if s is None else s + y * x
+                if val:
+                    out[key] = val
+                elif s is not None:
+                    del out[key]
+        return out
+
     def apply_p3_plus(self, v: dict) -> dict:
-        """lead (P1 P2 P1 P2 P1 - a P1 P2 P1 + b P1) v, by five mat-vecs."""
+        """lead (P1 P2 P1 P2 P1 - a P1 P2 P1 + b P1) v, by five applications."""
         a, b, lead = self.cubic
-        p1, p2 = self.p2_plus_pos1.apply, self.p2_plus_pos2.apply
-        u1 = p1(v)
-        u3 = p1(p2(u1))
-        u5 = p1(p2(u3))
+        u1 = self.apply(1, v)
+        u3 = self.apply(1, self.apply(2, u1))
+        u5 = self.apply(1, self.apply(2, u3))
         return _lincomb((u5, lead), (u3, -a * lead), (u1, b * lead))
 
 
 def build_projectors(hs: HeckeSymmetry) -> ProjectorSet:
-    """Assemble the braided symmetrizers at arity 2 and 3.
+    """Assemble the braided symmetrizers at arity 2, and what those at
+    arity 3 are applied from.
 
     Their axioms are not re-proved on these operators: they are certified by
     ``symmetrizer_certificate`` at the symmetry's q.  That transfers because
@@ -291,20 +370,16 @@ def build_projectors(hs: HeckeSymmetry) -> ProjectorSet:
     s2 = _conjugation_op(hs.R, r_inv) + _conjugation_op(r_inv, hs.R)
     r1 = embed_at(hs.R, 1, 3)
     r2 = embed_at(hs.R, 2, 3)
-    r1i = embed_at(r_inv, 1, 3)
-    r2i = embed_at(r_inv, 2, 3)
-    p1 = _sym_plus(_conjugation_op(r1, r1i) + _conjugation_op(r1i, r1), q)
-    p2 = _sym_plus(_conjugation_op(r2, r2i) + _conjugation_op(r2i, r2), q)
-
+    c3 = c_power(hs, 3)
     xi = q - q.inv()
-    ia = r1 * r2 * r1 + r1 + r2
-    ib = r1 * r2 + r2 * r1 - (r1 + r2).scale(xi)
+    r12 = r1 * r2
+    ia = r12 * r1 + r1 + r2
+    ib = r12 + r2 * r1 - (r1 + r2).scale(xi)
     return ProjectorSet(
         hs=hs, p2_plus=_sym_plus(s2, q), p2_minus=_sym_minus(s2, q),
-        p2_plus_pos1=p1, p2_plus_pos2=p2, cubic=_cubic_constants(q),
-        axioms=axioms,
-        ia_vec=vec_from_structure(ia, hs),
-        ib_vec=vec_from_structure(ib, hs),
+        r1=r1, r1i=embed_at(r_inv, 1, 3), r2=r2, r2i=embed_at(r_inv, 2, 3),
+        c3=c3, cubic=_cubic_constants(q), axioms=axioms,
+        ia_vec=_hatted(ia.mat * c3), ib_vec=_hatted(ib.mat * c3),
     )
 
 
@@ -341,8 +416,8 @@ def conjecture1_check(k: int, hs: HeckeSymmetry,
         v = trace_vector(2, hs)
         residual = _lincomb((ps.p2_plus.apply(v), 1), (v, -1))
     else:
-        v = trace_vector(3, hs)
-        residual = _lincomb((ps.apply_p3_plus(v), 1), (ps.p2_plus_pos2.apply(v), -1))
+        v = ps.trace3_vec
+        residual = _lincomb((ps.apply_p3_plus(v), 1), (ps.apply(2, v), -1))
     vector_equal = not residual
     if vector_equal:
         quotient_zero = True
@@ -366,11 +441,7 @@ def p2_action_identity(hs: HeckeSymmetry,
     table = hs.table
     xi = q - q.inv()
     two_q2_inv = (qnumber(2, q) ** 2).inv()
-    r1 = embed_at(hs.R, 1, 3)
-    r2 = embed_at(hs.R, 2, 3)
-
-    def vec(x: TensorOp) -> dict:
-        return vec_from_structure(x, hs)
+    r1, r2, vec = ps.r1, ps.r2, ps.vec
 
     rows = []
 
@@ -381,32 +452,30 @@ def p2_action_identity(hs: HeckeSymmetry,
             raise IdentityFailed(f"identity row {name!r} fails for {hs.name}")
 
     # action on the cubic trace vector
-    v3 = trace_vector(3, hs)
     structure = (r1 * r2 + r2 * r1).scale(Scalar.from_fraction(table, 2)) \
         - r1.scale(xi) + (r1 * r2 * r1).scale(xi)
-    check("p2-action", ps.p2_plus_pos2.apply(v3),
+    check("p2-action", ps.apply(2, ps.trace3_vec),
           _lincomb((vec(structure), two_q2_inv)))
 
     # invariance of the two invariant combinations
     for name, target in (("ia", ps.ia_vec), ("ib", ps.ib_vec)):
-        for pos, op in (("1", ps.p2_plus_pos1), ("2", ps.p2_plus_pos2)):
-            check(f"invariant-{name}-pos{pos}", op.apply(target), target)
+        for pos in (1, 2):
+            check(f"invariant-{name}-pos{pos}", ps.apply(pos, target), target)
 
     # transformation table under the position-1 symmetrizer; position 2 is
     # the same table with the two braiding embeddings exchanged
-    for posname, op, ra, rb in (("pos1", ps.p2_plus_pos1, r1, r2),
-                                ("pos2", ps.p2_plus_pos2, r2, r1)):
+    for pos, ra, rb in ((1, r1, r2), (2, r2, r1)):
         va = vec(ra)
         vb = vec(rb)
         vaba = vec(ra * rb * ra)
         vab_ba = vec(ra * rb + rb * ra)
         ia, ib, t = ps.ia_vec, ps.ib_vec, two_q2_inv
-        check(f"table-{posname}-r_near", op.apply(va), va)
-        check(f"table-{posname}-r_far", op.apply(vb),
+        check(f"table-pos{pos}-r_near", ps.apply(pos, va), va)
+        check(f"table-pos{pos}-r_far", ps.apply(pos, vb),
               _lincomb((ia, 2 * t), (ib, -xi * t), (va, -(xi * xi + 2) * t)))
-        check(f"table-{posname}-rba", op.apply(vaba),
+        check(f"table-pos{pos}-rba", ps.apply(pos, vaba),
               _lincomb((ia, (xi * xi + 2) * t), (ib, xi * t), (va, -2 * t)))
-        check(f"table-{posname}-rab_plus_rba", op.apply(vab_ba),
+        check(f"table-pos{pos}-rab_plus_rba", ps.apply(pos, vab_ba),
               _lincomb((ia, xi * 2 * t), (ib, 4 * t), (va, xi * 2 * t)))
     return rows
 

@@ -113,7 +113,8 @@ class MatrixS:
 
 
 class SparseMat:
-    """Sparse matrix as dict-of-row-dicts; entries are Scalars or Fractions.
+    """Sparse matrix as dict-of-row-dicts; entries are Scalars, Fractions,
+    or ints (an operator cleared of its denominators).
 
     Stored rows are nonempty and hold no zero entries; every operation keeps
     that invariant, so the constructor takes its rows as they are.
@@ -262,7 +263,8 @@ class SparseMat:
 
 
 class TensorOp:
-    """Operator on V^(tensor k), dim V = N: a sparse N^k x N^k Scalar matrix.
+    """Operator on V^(tensor k), dim V = N: a sparse N^k x N^k Scalar matrix,
+    or an int one once ``clear_denominators`` has scaled it.
 
     Row/column multi-indices (i1..ik) are encoded big-endian:
     code = i1*N^(k-1) + ... + ik, each i in [0, N).
@@ -374,6 +376,32 @@ def flip_op(table: SymbolTable, N: int) -> TensorOp:
 # ---------------------------------------------------------------------------
 
 
+def _clear_ratios(ratios: list) -> tuple[list, int]:
+    """The ints D * n / d for the coprime pairs (n, d), and D, the lcm of
+    the d."""
+    common = math.lcm(*(d for _, d in ratios))
+    return [n * (common // d) for n, d in ratios], common
+
+
+def clear_denominators(op: TensorOp) -> Optional[tuple[TensorOp, int]]:
+    """(D * op with int entries, D) for the lcm D of the denominators of
+    op's entries; None when an entry is not constant.
+
+    Products and sums of cleared operators run on ints, and an identity
+    between them is D-fold the identity between the operators themselves.
+    """
+    entries = [(i, j, v.const_ratio()) for i, row in op.mat.rows.items()
+               for j, v in row.items()]
+    if any(c is None for _, _, c in entries):
+        return None
+    cleared, common = _clear_ratios([c for _, _, c in entries])
+    rows: dict = {}
+    for (i, j, _), v in zip(entries, cleared):
+        rows.setdefault(i, {})[j] = v
+    mat = SparseMat(op.mat.nrows, op.mat.ncols, rows)
+    return TensorOp(op.N, op.arity, mat, op.table), common
+
+
 def _clear_rows(m: MatrixS) -> tuple[list, Scalar]:
     """Rows over Z or Z[x], and the Scalar they were scaled by.
 
@@ -383,12 +411,12 @@ def _clear_rows(m: MatrixS) -> tuple[list, Scalar]:
     of ``over_common_denominator``, so no entry is divided.
     """
     table = m.table
-    values = [[a.const_or_none() for a in row] for row in m.data]
-    if all(c is not None for row in values for c in row):
+    ratios = [[a.const_ratio() for a in row] for row in m.data]
+    if all(c is not None for row in ratios for c in row):
         rows, factor = [], 1
-        for row in values:
-            common = math.lcm(*(c.denominator for c in row))
-            rows.append([c.numerator * (common // c.denominator) for c in row])
+        for row in ratios:
+            cleared, common = _clear_ratios(row)
+            rows.append(cleared)
             factor *= common
         return rows, Scalar.from_fraction(table, factor)
     rows = []

@@ -1039,6 +1039,11 @@ class Scalar:
     def const_or_none(self) -> Optional[Fraction]:
         return None if self._d is None else Fraction(self._n, self._d)
 
+    def const_ratio(self) -> Optional[tuple[int, int]]:
+        """(n, d) of a constant n/d, coprime with d > 0, made without a
+        ``Fraction``; None when the value is not constant."""
+        return None if self._d is None else (self._n, self._d)
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":

@@ -24,12 +24,13 @@ from braidorbit.hecke import (
     hecke_residual,
     multitrace,
     rtrace,
+    skew_inverse_residual,
     solve_skew_inverse,
     validate,
     validation_report,
     yang_baxter_residual,
 )
-from braidorbit.linalg import MatrixS, SparseMat, TensorOp, embed_at, flip_op
+from braidorbit.linalg import MatrixS, SparseMat, TensorOp, embed_at, flip_op, partial_trace
 from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable
 
 QT = SymbolTable(["q"])
@@ -351,3 +352,107 @@ def test_validation_report_flips_on_mutated_psi():
     bad = dataclasses.replace(hs, psi=_with_entry(hs.psi, row, col, value + q_num(1)))
     rep = validation_report(bad)
     assert rep == {"yang_baxter": True, "hecke": True, "skew_inverse": False}
+
+
+# ---------------------------------------------------------------------------
+# residuals on cleared ints
+# ---------------------------------------------------------------------------
+
+
+def _scalar_residuals(R, q, psi):
+    """The three residuals formed on Scalars as written, with no clearing:
+    the oracle of the cleared route."""
+    r12, r23 = embed_at(R, 1, 3), embed_at(R, 2, 3)
+    ident = TensorOp.identity(R.table, R.N, 2)
+    traced = partial_trace(r12 * embed_at(psi, 2, 3), 2)
+    return (r12 * r23 * r12 - r23 * r12 * r23,
+            (ident.scale(q) - R) * (ident.scale(q.inv()) + R),
+            traced - flip_op(R.table, R.N))
+
+
+def _as_scalars(op):
+    """An operator with int entries, as the same operator over Scalars."""
+    assert all(type(v) is int for row in op.mat.rows.values() for v in row.values())
+    rows = {i: {j: Scalar.from_fraction(op.table, v) for j, v in row.items()}
+            for i, row in op.mat.rows.items()}
+    return TensorOp(op.N, op.arity, SparseMat(op.mat.nrows, op.mat.ncols, rows), op.table)
+
+
+def _random_op(rng, N):
+    rows = {}
+    for i in range(N * N):
+        for j in range(N * N):
+            if rng.random() < 0.4:
+                v = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                if v:
+                    rows.setdefault(i, {})[j] = q_num(v)
+    return TensorOp(N, 2, SparseMat(N * N, N * N, rows), EMPTY_TABLE)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cleared_residuals_are_the_scalar_residuals_times_d(seed):
+    rng = random.Random(seed)
+    N = 2 + seed % 2
+    R, psi = _random_op(rng, N), _random_op(rng, N)
+    q = q_num(Fraction(rng.randint(2, 9), rng.randint(1, 9)))
+    yb, hk, sk = _scalar_residuals(R, q, psi)
+    assert not yb.is_zero() and not hk.is_zero() and not sk.is_zero()
+    ident = TensorOp.identity(EMPTY_TABLE, N, 2)
+    d = linalg.clear_denominators(R)[1]
+    d_a = linalg.clear_denominators(ident.scale(q) - R)[1]
+    d_b = linalg.clear_denominators(ident.scale(q.inv()) + R)[1]
+    d_psi = linalg.clear_denominators(psi)[1]
+    assert _as_scalars(yang_baxter_residual(R)) == yb.scale(q_num(d ** 3))
+    assert _as_scalars(hecke_residual(R, q)) == hk.scale(q_num(d_a * d_b))
+    assert _as_scalars(skew_inverse_residual(R, psi)) == sk.scale(q_num(d * d_psi))
+
+
+def test_symbolic_residuals_stay_on_scalars():
+    # a non-constant entry keeps the Scalar route: the residuals are the
+    # oracle's, entry for entry
+    hs = build_dj_gl(2, q_sym())
+    bad = _with_entry(hs.R, 0, 0, hs.q + q_num(1).lift(QT))
+    psi = _with_entry(hs.psi, 1, 2, hs.q)
+    yb, hk, sk = _scalar_residuals(bad, hs.q, psi)
+    assert not yb.is_zero() and not hk.is_zero() and not sk.is_zero()
+    assert yang_baxter_residual(bad) == yb
+    assert hecke_residual(bad, hs.q) == hk
+    assert skew_inverse_residual(bad, psi) == sk
+
+
+def test_yang_baxter_residual_makes_three_products(monkeypatch):
+    calls = []
+    mul = SparseMat.__mul__
+    monkeypatch.setattr(SparseMat, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for R in (build_dj_gl(3, q_num("7/5")).R, build_dj_gl(2, q_sym()).R):
+        calls.clear()
+        assert yang_baxter_residual(R).is_zero()
+        assert len(calls) == 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_dj_gl(3, q_num("7/5")),
+    lambda: build_q_super(2, 1, q_num("9/7")),
+    lambda: build_superflip(2, 1),
+    lambda: build_dj_gl(3, q_sym()),
+], ids=["dj_gl3", "q_super21", "superflip21", "dj_gl3_symbolic"])
+def test_validation_report_flips_on_every_perturbed_entry(build):
+    # each stored entry of R, and one it does not store, perturbed after the
+    # build, so that validate never sees it; likewise for Psi
+    hs = build()
+    assert validation_report(hs) == {"yang_baxter": True, "hecke": True, "skew_inverse": True}
+    shift = q_num("2/3").lift(hs.table)
+    n2 = hs.N ** 2
+    for name, op in (("R", hs.R), ("psi", hs.psi)):
+        spots = [(i, j) for i, row in op.mat.rows.items() for j in row]
+        spots.append(next((i, j) for i in range(n2) for j in range(n2)
+                          if j not in op.mat.rows.get(i, {})))
+        for i, j in spots:
+            value = op.mat.rows.get(i, {}).get(j, q_num(0).lift(hs.table))
+            bad = dataclasses.replace(hs, **{name: _with_entry(op, i, j, value + shift)})
+            rep = validation_report(bad)
+            if name == "R":
+                assert not (rep["yang_baxter"] and rep["hecke"]), (i, j)
+            else:
+                assert rep == {"yang_baxter": True, "hecke": True,
+                               "skew_inverse": False}, (i, j)

@@ -55,17 +55,28 @@ def test_hatted_basis_matches_index_formula():
                     assert element.terms == expect, (i1, i2, j1, j2)
 
 
+def _position_plus_oracle(hs, position):
+    """P+ at `position` of arity 3 as a stored N^6 x N^6 operator: the
+    Kronecker products of the embedded braidings."""
+    r = embed_at(hs.R, position, 3)
+    ri = embed_at(hs.r_inv, position, 3)
+    return koszul._sym_plus(koszul._conjugation_op(r, ri)
+                            + koszul._conjugation_op(ri, r), hs.q)
+
+
 @pytest.mark.parametrize("builder", [
     lambda: build_flip(2),
     lambda: build_dj_gl(2, qc("7/5")),
     lambda: build_q_super(1, 1, qc("9/7")),
+    lambda: build_dj_gl(3, qc("5/3")),
 ])
 def test_projector_axioms(builder):
-    # the axioms certified in H_3 (x) H_3, recomputed on the operators built
-    # for a symmetry: an independent check of the homomorphism argument
+    # the axioms certified in H_3 (x) H_3, recomputed on the Kronecker
+    # oracle of the position symmetrizers: an independent check of the
+    # homomorphism argument
     hs = builder()
     ps = build_projectors(hs)
-    p1, p2 = ps.p2_plus_pos1, ps.p2_plus_pos2
+    p1, p2 = _position_plus_oracle(hs, 1), _position_plus_oracle(hs, 2)
     a, b, lead = ps.cubic
     p121 = p1 * p2 * p1
     p212 = p2 * p1 * p2
@@ -78,9 +89,36 @@ def test_projector_axioms(builder):
     assert ps.p2_plus + ps.p2_minus == ident
     assert (ps.p2_plus * ps.p2_minus).is_zero()
     assert (ps.p2_minus * ps.p2_plus).is_zero()
-    # the mat-vec chain applies the explicit operator
-    for v in (trace_vector(3, hs), ps.ia_vec, ps.ib_vec):
+    # the set applies the oracle operators, and every column it built is
+    # the oracle's column
+    assert ps.trace3_vec == trace_vector(3, hs)
+    for v in (ps.trace3_vec, ps.ia_vec, ps.ib_vec):
+        assert ps.apply(1, v) == p1.apply(v) and ps.apply(2, v) == p2.apply(v)
         assert ps.apply_p3_plus(v) == p3.apply(v)
+    oracle_columns = {1: p1.transpose().rows, 2: p2.transpose().rows}
+    assert {pos for pos, _ in ps.columns} == {1, 2}
+    for (pos, jl), column in ps.columns.items():
+        assert column == oracle_columns[pos].get(jl, {}), (pos, jl)
+
+
+def test_no_operator_on_arity3_coefficients(monkeypatch):
+    # the checks at arity 3 form nothing of size N^6 x N^6: P+ at a position
+    # is applied from the columns its vectors need
+    hs = build_dj_gl(3, qc("5/3"))
+    sizes = []
+    init = SparseMat.__init__
+
+    def recording_init(self, nrows, ncols, rows=None):
+        sizes.append(max(nrows, ncols))
+        init(self, nrows, ncols, rows)
+
+    monkeypatch.setattr(SparseMat, "__init__", recording_init)
+    ps = build_projectors(hs)
+    assert conjecture1_check(3, hs, ps)[0]
+    assert all(ok for _, ok in p2_action_identity(hs, ps))
+    assert sizes and max(sizes) < 3 ** 6
+    # only the columns the checks' vectors reach are built, not all 2 N^6
+    assert 0 < len(ps.columns) < 2 * 3 ** 6
 
 
 @pytest.mark.parametrize("q", [qc(1), qc("7/5"),
@@ -299,7 +337,7 @@ def test_intermediate_composite_actions():
     v_r2 = vec_from_structure(r2, hs)
     start = vadd(vs(ps.ia_vec, xi), vs(ps.ib_vec, Scalar.from_fraction(t, 2)),
                  vs(v_r2, xi))
-    once = ps.p2_plus_pos2.apply(ps.p2_plus_pos1.apply(start))
+    once = ps.apply(2, ps.apply(1, start))
     c4 = two_q ** 4
     expect_once = vadd(
         vs(ps.ia_vec, (c4 + 4) / c4 * xi),
@@ -307,7 +345,7 @@ def test_intermediate_composite_actions():
         vs(v_r2, (two_q ** 2 - 2) ** 2 / c4 * xi))
     assert not _diff(once, expect_once)
 
-    twice = ps.p2_plus_pos2.apply(ps.p2_plus_pos1.apply(once))
+    twice = ps.apply(2, ps.apply(1, once))
     c8 = two_q ** 8
     boost = 2 + two_q ** 2 * (two_q ** 2 - 2)
     expect_twice = vadd(
