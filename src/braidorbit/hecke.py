@@ -9,13 +9,14 @@ exist.  The partial traces B = Tr_1 Psi and C = Tr_2 Psi of the skew inverse
 define the quantum trace Tr_R M = Tr(M C).
 
 The residuals are only tested for zero, so each is formed up to a nonzero
-factor.  An operator whose entries are all constant is first cleared of its
-denominators (``linalg.clear_denominators``): multiplied by their lcm D, it
-has int entries, and its products and sums run on ints.  The Yang-Baxter
-residual is then D^3 times R12 R23 R12 - R23 R12 R23, the Hecke residual
-D_A D_B times (qI - R)(q^-1 I + R), and the skew-inverse residual D_R D_Psi
-times Tr_2 R12 Psi23 - sigma13.  An operator with a non-constant entry, as at
-symbolic q, keeps its Scalars.
+factor.  Their operators are first cleared of denominators by
+``scalar.clear`` (through ``linalg.clear_denominators``): multiplied by the
+lcm L of the denominators, they have entries in Z when every entry is
+constant and in Z[x] otherwise, as at symbolic q, and their products and
+sums run in that ring with no gcd.  The Yang-Baxter residual is then L^3
+times R12 R23 R12 - R23 R12 R23, the Hecke residual q L^3 times
+(qI - R)(q^-1 I + R) (q cleared with R), and the skew-inverse residual
+L^2 times Tr_2 R12 Psi23 - sigma13 (R and Psi cleared together).
 
 Matrix convention: R and Psi are sparse ``TensorOp``s whose entries are
 stored operator-style, ``mat.rows[out][in]``, and
@@ -33,6 +34,7 @@ from typing import Optional, Sequence
 from .errors import (
     BadDeformationParameter,
     DimensionMismatch,
+    DivisionByZero,
     InconclusiveDepth,
     NotHecke,
     NotSkewInvertible,
@@ -40,7 +42,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
 )
-from .graded import GradedQuotient
+from .graded import GradedQuotient, accumulate
 from .linalg import (
     MatrixS,
     RowSpace,
@@ -52,7 +54,7 @@ from .linalg import (
     flip_op,
     partial_trace,
 )
-from .scalar import EMPTY_TABLE, Scalar, SymbolTable, parse_scalar, qnumber
+from .scalar import EMPTY_TABLE, Scalar, SymbolTable, clear, parse_scalar, qnumber
 
 
 @dataclass
@@ -104,17 +106,10 @@ class HeckeSymmetry:
 # ---------------------------------------------------------------------------
 
 
-def _cleared(op: TensorOp) -> tuple:
-    """``clear_denominators(op)``; op itself and the factor 1 when an entry
-    is not constant, as at symbolic q."""
-    cleared = clear_denominators(op)
-    return cleared if cleared is not None else (op, Scalar.one(op.table))
-
-
 def yang_baxter_residual(R: TensorOp) -> TensorOp:
     """R12 R23 R12 - R23 R12 R23 as P R12 - R23 P with P = R12 R23, times
-    D^3 for a constant R cleared of its denominators (lcm D)."""
-    r, _ = _cleared(R)
+    L^3 for R cleared of its denominators (lcm L)."""
+    r, _ = clear_denominators(R)
     r12 = embed_at(r, 1, 3)
     r23 = embed_at(r, 2, 3)
     p = r12 * r23
@@ -122,21 +117,37 @@ def yang_baxter_residual(R: TensorOp) -> TensorOp:
 
 
 def hecke_residual(R: TensorOp, q: Scalar) -> TensorOp:
-    """(qI - R)(q^-1 I + R), times D_A D_B when the factors are constant
-    and cleared of their denominators (lcms D_A and D_B)."""
-    ident = TensorOp.identity(R.table, R.N, 2)
-    a, _ = _cleared(ident.scale(q) - R)
-    b, _ = _cleared(ident.scale(q.inv()) + R)
-    return a * b
+    """(qI - R)(q^-1 I + R), times q L^3 for L the lcm of the denominators
+    of q and of R's entries.
+
+    With q and R cleared to qL and LR, the factors are L(qI - R) =
+    qL I - LR and qL^2(q^-1 I + R) = L^2 I + qL LR, built from the cleared
+    entries directly.
+    """
+    if not q:  # no q^-1
+        raise DivisionByZero("inverse of zero")
+    common, (qc, *vals) = clear([q, *(v for row in R.mat.rows.values() for v in row.values())])
+    it = iter(vals)
+    a_rows, b_rows = {}, {}
+    for i, row in R.mat.rows.items():
+        cleared = [(j, next(it)) for j in row]
+        a_rows[i] = {j: -v for j, v in cleared}
+        b_rows[i] = {j: qc * v for j, v in cleared}
+    n, l2 = R.mat.nrows, common * common
+    for rows, c in ((a_rows, qc), (b_rows, l2)):
+        for i in range(n):
+            accumulate(rows.setdefault(i, {}), i, c)
+            if not rows[i]:
+                del rows[i]
+    return TensorOp(R.N, 2, SparseMat(n, n, a_rows) * SparseMat(n, n, b_rows), R.table)
 
 
 def skew_inverse_residual(R: TensorOp, psi: TensorOp) -> TensorOp:
-    """Tr_2 R12 Psi23 - sigma13, times D_R D_Psi when R and Psi are
-    constant and cleared of their denominators, through the tensor-op route."""
-    r, d_r = _cleared(R)
-    p, d_psi = _cleared(psi)
+    """Tr_2 R12 Psi23 - sigma13, times L^2 for R and Psi cleared of their
+    denominators together (lcm L), through the tensor-op route."""
+    r, p, common = clear_denominators(R, psi)
     traced = partial_trace(embed_at(r, 1, 3) * embed_at(p, 2, 3), 2)
-    N, d = R.N, d_r * d_psi
+    N, d = R.N, common * common
     sigma = {j * N + i: {i * N + j: d} for i in range(N) for j in range(N)}
     return traced - TensorOp(N, 2, SparseMat(N * N, N * N, sigma), R.table)
 
@@ -176,8 +187,8 @@ def validate(name: str, N: int, table: SymbolTable, q: Scalar, R: TensorOp) -> H
     # former N^4-unknown skew-inverse system; the N^2 x N^2 inverse needs far
     # fewer, but the bound is kept until a measurement replaces it.
     _check_alloc(N ** 4 * (N * N + 1))
-    # each residual is a nonzero multiple of its identity, on ints when the
-    # operators are constant: only its vanishing is read
+    # each residual is a nonzero multiple of its identity, in Z or Z[x]:
+    # only its vanishing is read
     if not yang_baxter_residual(R).is_zero():
         raise NotYangBaxter(f"{name}: Yang-Baxter residual is nonzero")
     if not hecke_residual(R, q).is_zero():

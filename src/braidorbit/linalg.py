@@ -5,7 +5,10 @@ Operators on tensor powers V^(tensor k) are sparse: ``TensorOp`` is a
 multi-index bookkeeping, and ``embed_at``, ``partial_trace`` and the products
 visit stored entries only.  The dense ``MatrixS`` is kept for the small dense
 work: N x N matrices such as the skew-inverse traces and Hankel matrices,
-with the fraction-free (Bareiss) determinant.
+with the fraction-free (Bareiss) determinant.  Fraction-free work, that
+determinant and the operators of ``clear_denominators``, runs in the ring
+that ``scalar.clear`` (``clear_rows`` for the determinant) picks: Z when
+every entry is constant, Z[x] otherwise.
 Rank and membership problems (relation ideals, Poincare series) and the
 sparse Gauss-Jordan inverse run on ``RowSpace``, an incrementally maintained
 reduced row echelon form.  The echelon basis of a span is unique, so
@@ -19,8 +22,6 @@ made and refused with ``ResourceLimit`` above the entry cap.
 
 from __future__ import annotations
 
-import math
-import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,7 +31,7 @@ from .errors import (
     ResourceLimit,
     SingularMatrix,
 )
-from .scalar import Poly, Scalar, SymbolTable, over_common_denominator, poly_div_exact
+from .scalar import Scalar, SymbolTable, clear, clear_rows, ratio
 
 _ENTRY_CAP = 800_000_000
 
@@ -114,7 +115,7 @@ class MatrixS:
 
 class SparseMat:
     """Sparse matrix as dict-of-row-dicts; entries are Scalars, Fractions,
-    or ints (an operator cleared of its denominators).
+    or the ints or Polys of an operator cleared of its denominators.
 
     Stored rows are nonempty and hold no zero entries; every operation keeps
     that invariant, so the constructor takes its rows as they are.
@@ -264,7 +265,7 @@ class SparseMat:
 
 class TensorOp:
     """Operator on V^(tensor k), dim V = N: a sparse N^k x N^k Scalar matrix,
-    or an int one once ``clear_denominators`` has scaled it.
+    or an int or Poly one once ``clear_denominators`` has scaled it.
 
     Row/column multi-indices (i1..ik) are encoded big-endian:
     code = i1*N^(k-1) + ... + ik, each i in [0, N).
@@ -325,13 +326,16 @@ def embed_at(op: TensorOp, position: int, arity: int) -> TensorOp:
     mid = N ** k
     right = N ** (arity - position - k + 1)
     _check_alloc(op.mat.nnz() * left * right)
+    # each source row's (column offset, value) pairs, built once
+    src_rows = [(rm * right, [(cm * right, v) for cm, v in src.items()])
+                for rm, src in op.mat.rows.items()]
     rows: dict = {}
     for a in range(left):
-        for rm, src in op.mat.rows.items():
-            base = (a * mid + rm) * right
-            cols = [((a * mid + cm) * right, v) for cm, v in src.items()]
+        shift = a * mid * right
+        for base, cols in src_rows:
             for c in range(right):
-                rows[base + c] = {col + c: v for col, v in cols}
+                off = shift + c
+                rows[off + base] = {off + col: v for col, v in cols}
     size = left * mid * right
     return TensorOp(N, arity, SparseMat(size, size, rows), op.table)
 
@@ -376,71 +380,31 @@ def flip_op(table: SymbolTable, N: int) -> TensorOp:
 # ---------------------------------------------------------------------------
 
 
-def _clear_ratios(ratios: list) -> tuple[list, int]:
-    """The ints D * n / d for the coprime pairs (n, d), and D, the lcm of
-    the d."""
-    common = math.lcm(*(d for _, d in ratios))
-    return [n * (common // d) for n, d in ratios], common
+def clear_denominators(*ops: TensorOp) -> tuple:
+    """(L * op for each op, then L), for L the lcm of the denominators of
+    all their entries: the cleared operators hold ints, or Polys when an
+    entry is not constant (``scalar.clear``).
 
-
-def clear_denominators(op: TensorOp) -> Optional[tuple[TensorOp, int]]:
-    """(D * op with int entries, D) for the lcm D of the denominators of
-    op's entries; None when an entry is not constant.
-
-    Products and sums of cleared operators run on ints, and an identity
-    between them is D-fold the identity between the operators themselves.
+    Products and sums of cleared operators run in that ring, and an
+    identity between them is a multiple of the identity between the
+    operators themselves by a power of L.
     """
-    entries = [(i, j, v.const_ratio()) for i, row in op.mat.rows.items()
-               for j, v in row.items()]
-    if any(c is None for _, _, c in entries):
-        return None
-    cleared, common = _clear_ratios([c for _, _, c in entries])
-    rows: dict = {}
-    for (i, j, _), v in zip(entries, cleared):
-        rows.setdefault(i, {})[j] = v
-    mat = SparseMat(op.mat.nrows, op.mat.ncols, rows)
-    return TensorOp(op.N, op.arity, mat, op.table), common
-
-
-def _clear_rows(m: MatrixS) -> tuple[list, Scalar]:
-    """Rows over Z or Z[x], and the Scalar they were scaled by.
-
-    Each row is multiplied by the lcm of its denominators.  A constant
-    matrix becomes rows of ints and the factor is the product of the lcms.
-    Otherwise the rows become Polys; the multipliers are the gcd cofactors
-    of ``over_common_denominator``, so no entry is divided.
-    """
-    table = m.table
-    ratios = [[a.const_ratio() for a in row] for row in m.data]
-    if all(c is not None for row in ratios for c in row):
-        rows, factor = [], 1
-        for row in ratios:
-            cleared, common = _clear_ratios(row)
-            rows.append(cleared)
-            factor *= common
-        return rows, Scalar.from_fraction(table, factor)
-    rows = []
-    factor = Scalar.one(table)
-    for row in m.data:
-        common, cleared = over_common_denominator(table, [(a.num, a.den) for a in row])
-        rows.append(cleared)
-        factor = factor * Scalar.make(common, Poly.const(table, 1))
-    return rows, factor
-
-
-def _poly_quotient(f: Poly, g: Poly) -> Poly:
-    q = poly_div_exact(f, g)
-    if q is None:
-        raise ArithmeticError("Bareiss division not exact")
-    return q
+    common, nums = clear([v for op in ops for row in op.mat.rows.values()
+                          for v in row.values()])
+    it = iter(nums)
+    cleared = [TensorOp(op.N, op.arity, SparseMat(op.mat.nrows, op.mat.ncols, {
+                   i: {j: next(it) for j in row} for i, row in op.mat.rows.items()}),
+                        op.table) for op in ops]
+    return (*cleared, common)
 
 
 def det_bareiss(m: MatrixS) -> Scalar:
     """Exact determinant by one-step fraction-free (Bareiss) elimination.
 
-    The entries are ints or Polys (see ``_clear_rows``), and the division
-    of each step by the previous pivot is exact: ``//`` for ints and
-    ``poly_div_exact`` for Polys.
+    Each row is cleared of its denominators (``scalar.clear_rows``), over
+    Z or Z[x], by the lcm L_i of its own; each step's division by the
+    previous pivot is exact, and the determinant is that of the cleared
+    rows over the product of the L_i.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("determinant of non-square matrix")
@@ -448,18 +412,11 @@ def det_bareiss(m: MatrixS) -> Scalar:
     table = m.table
     if n == 0:
         return Scalar.one(table)
-    rows, factor = _clear_rows(m)
-    if isinstance(rows[0][0], int):
-        zero, prev, exact = 0, 1, operator.floordiv
-    else:
-        zero, prev, exact = Poly.zero(table), Poly.const(table, 1), _poly_quotient
-    sign = 1
+    cleared = clear_rows(m.data)
+    rows = [nums for _, nums in cleared]
+    sign, prev = 1, None
     for k in range(n - 1):
-        piv = None
-        for r in range(k, n):
-            if rows[r][k] != zero:
-                piv = r
-                break
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
         if piv is None:
             return Scalar.zero(table)
         if piv != k:
@@ -471,12 +428,13 @@ def det_bareiss(m: MatrixS) -> Scalar:
             ri = rows[i]
             head = ri[k]
             for j in range(k + 1, n):
-                ri[j] = exact(ri[j] * pivot - head * rk[j], prev)
+                val = ri[j] * pivot - head * rk[j]
+                ri[j] = val if prev is None else val // prev
         prev = pivot
-    det = rows[n - 1][n - 1] if sign > 0 else -rows[n - 1][n - 1]
-    if isinstance(det, int):
-        return Scalar.from_fraction(table, det) / factor
-    return Scalar.make(det, Poly.const(table, 1)) / factor
+    det, factor = rows[n - 1][n - 1], cleared[0][0]
+    for common, _ in cleared[1:]:
+        factor = factor * common
+    return ratio(det if sign > 0 else -det, factor, table)
 
 
 def inverse(m: MatrixS) -> MatrixS:

@@ -22,7 +22,6 @@ the plain algebra, filtered for the modified algebra, at every q.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -49,7 +48,7 @@ from .rea import (
     nc_matmul,
     relation_space,
 )
-from .scalar import Poly, Scalar, SymbolTable, poly_lcm
+from .scalar import Scalar, SymbolTable, clear, ratio
 from .symfun import (
     EigenvalueProfile,
     ch_coefficients,
@@ -367,9 +366,10 @@ class OrbitIdealReducer:
     (`graded.ideal_span`), echelonized once with top-degree columns first,
     so generators pivot on their power-sum parts; reducing against that
     unique echelon basis gives canonical residuals.  The normal forms are
-    those of `rs.quotient`, plain or modified alike.  An element is scaled
-    by the lcm d of its coefficients' polynomial denominators first and its
-    residual by 1/d, so the reduction runs on polynomial entries.
+    those of `rs.quotient`, plain or modified alike.  An element with a
+    coefficient that is not constant is scaled by the lcm L of their
+    denominators first (``scalar.clear``) and its residual by 1/L, so the
+    reduction runs on polynomial entries.
     """
 
     def __init__(self, rs: RelationSpace, extra_generators: Sequence[NCPoly],
@@ -390,13 +390,15 @@ class OrbitIdealReducer:
         if x.max_degree() > self.max_degree:
             raise ResourceLimit(
                 f"element degree {x.max_degree()} above reducer degree {self.max_degree}")
-        dens = {c.den for c in x.terms.values() if not c.is_constant()}
-        if dens:
-            d = Scalar.make(functools.reduce(poly_lcm, dens), Poly.const(self.table, 1))
-            x = x.scale(d)
-        res = self.space.reduce(by_degree(self.quotient.normal_form(x.terms)))
-        out = NCPoly(self.N, self.table, {w: c for (_, w), c in res.items()})
-        return out.scale(d.inv()) if dens else out
+        terms, table = x.terms, self.table
+        scaled = not all(c.is_constant() for c in terms.values())
+        if scaled:
+            common, nums = clear(list(terms.values()))
+            one = common ** 0  # the 1 of common's ring
+            terms = {w: ratio(n, one, table) for w, n in zip(terms, nums)}
+        res = self.space.reduce(by_degree(self.quotient.normal_form(terms)))
+        out = NCPoly(self.N, table, {w: c for (_, w), c in res.items()})
+        return out.scale(ratio(one, common, table)) if scaled else out
 
 
 # ---------------------------------------------------------------------------

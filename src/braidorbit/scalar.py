@@ -36,6 +36,14 @@ with it and a fraction is reduced without dividing by its gcd again.  Its
 fallback is recursive content/primitive-part decomposition with Brown's
 subresultant pseudo-remainder sequence.  All of it runs in Z[x], so no
 factorization is ever required.
+
+Fraction-free work elsewhere (Bareiss, the validation residuals, the
+power-sum series, the orbit reducer) multiplies its values by the lcm of
+their denominators and runs in Z or in Z[x].  ``clear_rows`` (and
+``clear``, its one-row case) alone picks that ring, ints when every value is
+constant and Polys otherwise, and ``ratio`` turns a result back into a
+Scalar; a ``Poly`` is a ring element there, with ``bool`` and an exact
+``//`` as on ints.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd as int_gcd
+from math import lcm as int_lcm
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -187,6 +196,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._P
 
+    def __bool__(self) -> bool:
+        return bool(self._P)
+
     def is_constant(self) -> bool:
         P = self._P
         return not P or (len(P) == 1 and not any(next(iter(P))))
@@ -262,6 +274,13 @@ class Poly:
         n = c.numerator
         P = self._P if n == 1 else {e: k * n for e, k in self._P.items()}
         return _from_int(self.table, P, self._d * c.denominator)
+
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        """The exact quotient, as ``//`` is on ints that divide."""
+        q = poly_div_exact(self, other)
+        if q is None:
+            raise ArithmeticError("inexact polynomial division")
+        return q
 
     def __pow__(self, n: int) -> "Poly":
         """(P/d)^n = P^n/d^n, with the power taken in the integer kernel."""
@@ -895,32 +914,6 @@ def poly_gcd_cofactors(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     return _from_int(table, h, 1), _from_int(table, F, f._d), _from_int(table, G, g._d)
 
 
-def over_common_denominator(table: SymbolTable, pairs) -> tuple:
-    """(L, [n_i * (L / d_i)]) for the Poly fractions n_i/d_i, L the lcm of the d_i.
-
-    A new d shares g with the running L: with L = g*u and d = g*v the lcm
-    becomes L*v, the earlier multipliers gain the factor v and the new one
-    is u, so no division is made.
-    """
-    one = Poly.const(table, 1)
-    L, nums, mults = one, [], []
-    for n, d in pairs:
-        _, u, v = poly_gcd_cofactors(L, d)
-        nums.append(n)
-        if v != one:
-            mults = [m * v for m in mults]
-            L = L * v
-        mults.append(u)
-    return L, [n * m for n, m in zip(nums, mults)]
-
-
-def poly_lcm(f: Poly, g: Poly) -> Poly:
-    if f.is_zero() or g.is_zero():
-        return Poly.zero(f.table)
-    # f * (g/gcd), over its integer content
-    return _int_content_normalized(f * poly_gcd_cofactors(f, g)[2])[0]
-
-
 # ---------------------------------------------------------------------------
 # Scalar: the fraction field
 # ---------------------------------------------------------------------------
@@ -1038,11 +1031,6 @@ class Scalar:
 
     def const_or_none(self) -> Optional[Fraction]:
         return None if self._d is None else Fraction(self._n, self._d)
-
-    def const_ratio(self) -> Optional[tuple[int, int]]:
-        """(n, d) of a constant n/d, coprime with d > 0, made without a
-        ``Fraction``; None when the value is not constant."""
-        return None if self._d is None else (self._n, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -1283,6 +1271,71 @@ def _rational_hash(n: int, d: int) -> int:
     h = hash(hash(abs(n)) * pow(d, -1, P)) if d % P else sys.hash_info.inf
     h = h if n >= 0 else -h
     return -2 if h == -1 else h
+
+
+# ---------------------------------------------------------------------------
+# fraction-free work: clearing denominators
+# ---------------------------------------------------------------------------
+
+
+def clear_rows(rows: Sequence[Sequence[Scalar]]) -> list:
+    """[(L, [v * L for v in row]) for row in rows], L the lcm of the
+    denominators of the row.
+
+    This is the one place that picks the ring of fraction-free work: ints
+    when every value of every row is constant, Polys otherwise.  All rows
+    share that ring, so cleared rows can meet.  ``ratio`` reads a result
+    back.
+    """
+    if all(v._d is not None for row in rows for v in row):
+        return [_clear_ints(row) for row in rows]
+    return [_clear_polys(row) for row in rows]
+
+
+def clear(values: Sequence[Scalar]) -> tuple:
+    """(L, [v * L for v in values]): ``clear_rows`` of the one row."""
+    return clear_rows((values,))[0]
+
+
+def _clear_ints(values) -> tuple:
+    """``clear`` over Z, from the coprime pairs and with no ``Fraction``."""
+    L = int_lcm(*(v._d for v in values))
+    return L, [v._n * (L // v._d) for v in values]
+
+
+def _clear_polys(values) -> tuple:
+    """``clear`` over Z[x].  Each distinct denominator d shares g with the
+    running L: with L = g*u and d = g*v the lcm becomes L*v, the earlier
+    multipliers gain the factor v and the new one is u, so no division is
+    made."""
+    one = Poly.const(values[0].table, 1)
+    L, mults = one, {}
+    for v in values:
+        d = v.den
+        if d in mults:
+            continue
+        _, u, w = poly_gcd_cofactors(L, d)
+        if w != one:
+            mults = {k: m * w for k, m in mults.items()}
+            L = L * w
+        mults[d] = u
+    nums = []
+    for v in values:
+        m = mults[v.den]
+        nums.append(v.num if m == one else v.num * m)
+    return L, nums
+
+
+def ratio(num, den, table: SymbolTable) -> Scalar:
+    """num/den for an int pair or a Poly pair, such as ``clear`` returns."""
+    if isinstance(num, int):
+        if not den:
+            raise DivisionByZero("zero denominator")
+        g = int_gcd(num, den)
+        if den < 0:
+            g = -g
+        return _const(table, num // g, den // g)
+    return Scalar.make(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ second generating function
 
 and F(w) = A(-w/q) / A(-q w) is the quantum Newton identity itself; at
 h != 0 there is no product form, and the a-values come from the Newton
-recursion on the power sums.  Both series run on one common denominator, in
-ints for constant profiles and in polynomials otherwise (Macdonald,
+recursion on the power sums.  Both series run on one common denominator,
+in the ring that ``scalar.clear`` picks: ints for constant values and
+polynomials otherwise (Macdonald,
 Symmetric Functions and Hall Polynomials, ch. I; the quantum Newton form is
 that of Gurevich, Pyatov and Saponov, Lett. Math. Phys. 41, 1997).
 
@@ -56,17 +57,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import BadDeformationParameter, DegenerateProfile
-from .scalar import (
-    Poly,
-    Scalar,
-    SymbolTable,
-    over_common_denominator,
-    qnumber,
-)
+from .scalar import Scalar, SymbolTable, clear, qnumber, ratio
 
 
 # ---------------------------------------------------------------------------
@@ -608,21 +602,6 @@ def quantum_dims(profile: EigenvalueProfile) -> QuantumDims:
     return profile._dims
 
 
-def _parts(x: Scalar, ints: bool) -> tuple:
-    """(numerator, denominator) of x, as ints or as Polys."""
-    if ints:
-        f = x.as_fraction()
-        return f.numerator, f.denominator
-    return x.num, x.den
-
-
-def _quotient(num, den, table: SymbolTable) -> Scalar:
-    """num/den for two ints (one Fraction) or two Polys (one Scalar.make)."""
-    if isinstance(num, int):
-        return Scalar.from_fraction(table, Fraction(num, den))
-    return Scalar.make(num, den)
-
-
 def _expand(roots: list, one) -> list:
     """Coefficients of prod(1 - x w) over the roots, lowest degree first."""
     coeffs = [one]
@@ -634,28 +613,21 @@ def _expand(roots: list, one) -> list:
 
 
 class _RatioSeries:
-    """g_r = C^r [w^r] prod(1 - a w) / prod(1 - b w) for Scalars a and b.
+    """g_r = C^r [w^r] prod(1 - a w) / prod(1 - b w), from the numerators
+    C a and C b that ``scalar.clear`` returns with C.
 
-    C is the lcm of the denominators of every a and b, so N(w) =
-    prod(1 - C a w) and D(w) = prod(1 - C b w) have integral coefficients and
-    D g = N gives g_r = N_r - sum_{1 <= i <= min(r, #b)} D_i g_{r-i}: ring
-    arithmetic on ints (``ints``, every value constant) or on Polys, with no
-    gcd and no division.  ``series[r]`` extends the recurrence to r.
+    N(w) = prod(1 - C a w) and D(w) = prod(1 - C b w) have coefficients in
+    the ring of C, and D g = N gives g_r = N_r - sum_{1 <= i <= min(r, #b)}
+    D_i g_{r-i}: ring arithmetic with no gcd and no division.
+    ``series[r]`` extends the recurrence to r.
     """
 
-    def __init__(self, tops: list, bottoms: list, table: SymbolTable, ints: bool):
-        if ints:
-            fracs = [x.as_fraction() for x in tops + bottoms]
-            self.C = lcm(*(f.denominator for f in fracs))
-            cleared = [f.numerator * (self.C // f.denominator) for f in fracs]
-            one = 1
-        else:
-            self.C, cleared = over_common_denominator(
-                table, [(x.num, x.den) for x in tops + bottoms])
-            one = Poly.const(table, 1)
+    def __init__(self, C, tops: list, bottoms: list):
+        self.C = C
+        one = C ** 0  # the 1 of C's ring
         self._zero = one - one
-        self._N = _expand(cleared[:len(tops)], one)
-        self._D = _expand(cleared[len(tops):], one)
+        self._N = _expand(tops, one)
+        self._D = _expand(bottoms, one)
         self._g = [one]
 
     def __getitem__(self, r: int):
@@ -669,57 +641,54 @@ class _RatioSeries:
         return g[r]
 
 
-def _all_constant(profile: EigenvalueProfile) -> bool:
-    return all(x.is_constant() for x in (*profile.mus, *profile.nus, profile.q, profile.h))
-
-
 class _PowerSums:
     """p_k, k >= 1, of a profile from the expansion of F at infinity.
 
     With Q = q - q^-1 and f_r = [z^-r] F, Q p_k - h p_{k-1} = f_k (module
     docstring).  Unrolled, u_k = Q^(k+1) p_k satisfies u_k = Q^k f_k +
-    h u_{k-1} from u_0 = Q p_0 = 1 - q^(2(n-m)).  The f_r come cleared from
-    ``_RatioSeries`` (f_r = g_r / C^r), and u_k is carried cleared too: with
-    Q = Qn/Qd, h = hn/hd and q^(2(n-m)) = tn/td,
-    U_k = td hd^k Qd^k C^k u_k obeys U_k = td hd^k Qn^k g_k + hn Qd C U_{k-1}
-    and p_k = U_k Qd / (td hd^k C^k Qn^(k+1)).  Each new p_k is one
-    normalisation.  At Q = 0 (q = +-1) the identity reads -h p_{k-1} = f_k,
-    and at Q = 0 with h = 0 every weight is q^-1 or -q.
+    h u_{k-1} from u_0 = Q p_0 = 1 - q^(2(n-m)).  Q, h and q^(2(n-m)) are
+    cleared with the series' values, to Qc/C, hc/C and tc/C, and the f_r
+    come cleared from ``_RatioSeries`` (f_r = g_r / C^r).  Then
+    W_k = C^(2k+1) u_k obeys W_k = C (Qc^k g_k + hc W_{k-1}) from
+    W_0 = C - tc, and p_k = W_k / (C^k Qc^(k+1)): each new p_k is one
+    normalisation.  At h = 0, p_k = f_k / Q; at Q = 0 (q = +-1) the identity
+    reads -h p_{k-1} = f_k, and at Q = 0 with h = 0 every weight is q^-1 or
+    -q.
     """
 
     def __init__(self, profile: EigenvalueProfile):
         q, h = profile.q, profile.h
         self.q, self.mus, self.nus, self.table = q, profile.mus, profile.nus, profile.table
-        ints = _all_constant(profile)
         qi = q.inv()
+        Q = q - qi
         tops = ([qi * (qi * mu + h) for mu in profile.mus]
                 + [q * (q * nu - h) for nu in profile.nus])
-        self.series = _RatioSeries(tops, profile.mus + profile.nus, profile.table, ints)
-        Q = q - qi
-        self.Q = None if Q.is_zero() else _parts(Q, ints)
-        self.h = None if h.is_zero() else _parts(h, ints)
-        if self.Q is not None and self.h is not None:
-            tn, self.td = _parts(q ** (2 * (profile.n - profile.m)), ints)
-            self.U = [self.td - tn]
+        values = tops + profile.mus + profile.nus + [Q, h]
+        if Q and h:
+            values.append(q ** (2 * (profile.n - profile.m)))
+        C, nums = clear(values)
+        size = len(tops)
+        self.series = _RatioSeries(C, nums[:size], nums[size:2 * size])
+        self.Qc, self.hc, *tc = nums[2 * size:]
+        if tc:
+            self.W = [C - tc[0]]
 
     def __getitem__(self, k: int) -> Scalar:
         g, C, table = self.series, self.series.C, self.table
-        if self.Q is None:
-            if self.h is None:
+        Qc, hc = self.Qc, self.hc
+        if not Qc:
+            if not hc:
                 zero, q = Scalar.zero(table), self.q
                 return (q.inv() * sum((mu ** k for mu in self.mus), zero)
                         - q * sum((nu ** k for nu in self.nus), zero))
-            hn, hd = self.h
-            return _quotient(-(g[k + 1] * hd), C ** (k + 1) * hn, table)
-        Qn, Qd = self.Q
-        if self.h is None:
-            return _quotient(g[k] * Qd, C ** k * Qn, table)
-        hn, hd = self.h
-        U, td = self.U, self.td
-        while len(U) <= k:
-            t = len(U)
-            U.append(td * hd ** t * Qn ** t * g[t] + hn * Qd * C * U[t - 1])
-        return _quotient(U[k] * Qd, td * hd ** k * C ** k * Qn ** (k + 1), table)
+            return ratio(-g[k + 1], C ** k * hc, table)
+        if not hc:
+            return ratio(g[k], C ** (k - 1) * Qc, table)
+        W = self.W
+        while len(W) <= k:
+            t = len(W)
+            W.append(C * (Qc ** t * g[t] + hc * W[t - 1]))
+        return ratio(W[k], C ** k * Qc ** (k + 1), table)
 
 
 def power_sum_param(k: int, profile: EigenvalueProfile) -> Scalar:
@@ -767,13 +736,13 @@ def a_values_param(profile: EigenvalueProfile, K: int) -> list:
             avals[:] = [one] + newton_a_from_p(ps, profile.q, one)
         else:
             if profile._aseries is None:
-                q = profile.q
-                profile._aseries = _RatioSeries(
-                    [-(q.inv() * mu) for mu in profile.mus], [-(q * nu) for nu in profile.nus],
-                    table, _all_constant(profile))
+                q, m = profile.q, profile.m
+                C, nums = clear([-(q.inv() * mu) for mu in profile.mus]
+                                + [-(q * nu) for nu in profile.nus])
+                profile._aseries = _RatioSeries(C, nums[:m], nums[m:])
             series = profile._aseries
             for r in range(len(avals), K + 1):
-                avals.append(_quotient(series[r], series.C ** r, table))
+                avals.append(ratio(series[r], series.C ** r, table))
     return avals[: K + 1]
 
 

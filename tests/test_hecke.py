@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidorbit import linalg
+from braidorbit import linalg, scalar
 from braidorbit.errors import (
     BadDeformationParameter,
     NotHecke,
@@ -31,7 +31,7 @@ from braidorbit.hecke import (
     yang_baxter_residual,
 )
 from braidorbit.linalg import MatrixS, SparseMat, TensorOp, embed_at, flip_op, partial_trace
-from braidorbit.scalar import EMPTY_TABLE, Scalar, SymbolTable
+from braidorbit.scalar import EMPTY_TABLE, Poly, Scalar, SymbolTable
 
 QT = SymbolTable(["q"])
 
@@ -355,7 +355,7 @@ def test_validation_report_flips_on_mutated_psi():
 
 
 # ---------------------------------------------------------------------------
-# residuals on cleared ints
+# residuals on cleared entries
 # ---------------------------------------------------------------------------
 
 
@@ -370,54 +370,81 @@ def _scalar_residuals(R, q, psi):
             traced - flip_op(R.table, R.N))
 
 
-def _as_scalars(op):
-    """An operator with int entries, as the same operator over Scalars."""
-    assert all(type(v) is int for row in op.mat.rows.values() for v in row.values())
-    rows = {i: {j: Scalar.from_fraction(op.table, v) for j, v in row.items()}
+def _entries(op):
+    return [v for row in op.mat.rows.values() for v in row.values()]
+
+
+def _multipliers(R, q, psi):
+    """The Scalars by which the cleared residuals multiply the oracle's:
+    L^3 for R cleared, q L^3 for q cleared with R, and L^2 for R and Psi
+    cleared together."""
+    def as_scalar(c):
+        return scalar.ratio(c, c ** 0, R.table)
+
+    l_r = as_scalar(linalg.clear_denominators(R)[-1])
+    l_qr = as_scalar(scalar.clear([q, *_entries(R)])[0])
+    l_rp = as_scalar(linalg.clear_denominators(R, psi)[-1])
+    return l_r ** 3, q * l_qr ** 3, l_rp ** 2
+
+
+def _as_scalars(op, ring):
+    """An operator with entries in `ring` (int or Poly), as the same
+    operator over Scalars."""
+    assert all(type(v) is ring for v in _entries(op))
+    rows = {i: {j: scalar.ratio(v, v ** 0, op.table) for j, v in row.items()}
             for i, row in op.mat.rows.items()}
     return TensorOp(op.N, op.arity, SparseMat(op.mat.nrows, op.mat.ncols, rows), op.table)
 
 
-def _random_op(rng, N):
+def _random_op(rng, N, table=EMPTY_TABLE):
+    """A random operator; over QT an entry is c q^e or c q^e + 1/(q + k)."""
     rows = {}
     for i in range(N * N):
         for j in range(N * N):
             if rng.random() < 0.4:
-                v = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                v = Scalar.from_fraction(table, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+                if table is QT:
+                    v = v * q_sym() ** rng.randint(-2, 2)
+                    if rng.random() < 0.3:
+                        v = v + (q_sym() + rng.randint(1, 3)).inv()
                 if v:
-                    rows.setdefault(i, {})[j] = q_num(v)
-    return TensorOp(N, 2, SparseMat(N * N, N * N, rows), EMPTY_TABLE)
+                    rows.setdefault(i, {})[j] = v
+    return TensorOp(N, 2, SparseMat(N * N, N * N, rows), table)
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(9))
 def test_cleared_residuals_are_the_scalar_residuals_times_d(seed):
+    # seeds 6-8 draw R, Psi and q at symbolic q, which clear onto Polys
     rng = random.Random(seed)
-    N = 2 + seed % 2
-    R, psi = _random_op(rng, N), _random_op(rng, N)
-    q = q_num(Fraction(rng.randint(2, 9), rng.randint(1, 9)))
+    if seed < 6:
+        N, table, ring = 2 + seed % 2, EMPTY_TABLE, int
+        q = q_num(Fraction(rng.randint(2, 9), rng.randint(1, 9)))
+    else:
+        N, table, ring, q = 2, QT, Poly, q_sym()
+    R, psi = _random_op(rng, N, table), _random_op(rng, N, table)
     yb, hk, sk = _scalar_residuals(R, q, psi)
     assert not yb.is_zero() and not hk.is_zero() and not sk.is_zero()
-    ident = TensorOp.identity(EMPTY_TABLE, N, 2)
-    d = linalg.clear_denominators(R)[1]
-    d_a = linalg.clear_denominators(ident.scale(q) - R)[1]
-    d_b = linalg.clear_denominators(ident.scale(q.inv()) + R)[1]
-    d_psi = linalg.clear_denominators(psi)[1]
-    assert _as_scalars(yang_baxter_residual(R)) == yb.scale(q_num(d ** 3))
-    assert _as_scalars(hecke_residual(R, q)) == hk.scale(q_num(d_a * d_b))
-    assert _as_scalars(skew_inverse_residual(R, psi)) == sk.scale(q_num(d * d_psi))
+    m_yb, m_hk, m_sk = _multipliers(R, q, psi)
+    assert _as_scalars(yang_baxter_residual(R), ring) == yb.scale(m_yb)
+    assert _as_scalars(hecke_residual(R, q), ring) == hk.scale(m_hk)
+    assert _as_scalars(skew_inverse_residual(R, psi), ring) == sk.scale(m_sk)
 
 
-def test_symbolic_residuals_stay_on_scalars():
-    # a non-constant entry keeps the Scalar route: the residuals are the
-    # oracle's, entry for entry
+def test_symbolic_residuals_clear_onto_polys():
+    # a non-constant entry clears R onto Polys, and each residual is the
+    # Scalar formula times the multiplier that clearing returns
     hs = build_dj_gl(2, q_sym())
     bad = _with_entry(hs.R, 0, 0, hs.q + q_num(1).lift(QT))
     psi = _with_entry(hs.psi, 1, 2, hs.q)
+    cleared, common = linalg.clear_denominators(bad)
+    assert type(common) is Poly and not common.is_constant()
+    assert all(type(v) is Poly for v in _entries(cleared))
     yb, hk, sk = _scalar_residuals(bad, hs.q, psi)
     assert not yb.is_zero() and not hk.is_zero() and not sk.is_zero()
-    assert yang_baxter_residual(bad) == yb
-    assert hecke_residual(bad, hs.q) == hk
-    assert skew_inverse_residual(bad, psi) == sk
+    m_yb, m_hk, m_sk = _multipliers(bad, hs.q, psi)
+    assert _as_scalars(yang_baxter_residual(bad), Poly) == yb.scale(m_yb)
+    assert _as_scalars(hecke_residual(bad, hs.q), Poly) == hk.scale(m_hk)
+    assert _as_scalars(skew_inverse_residual(bad, psi), Poly) == sk.scale(m_sk)
 
 
 def test_yang_baxter_residual_makes_three_products(monkeypatch):

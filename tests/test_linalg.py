@@ -134,7 +134,7 @@ def test_det_vandermonde_cofactor_oracle():
 
 
 def test_det_clears_rows_by_cofactors_without_dividing(monkeypatch):
-    # every row has denominators sharing factors; _clear_rows builds its
+    # every row has denominators sharing factors; scalar.clear_rows builds its
     # multipliers from gcd cofactors, and only the Bareiss steps divide
     import braidorbit.scalar as scalar
 
@@ -146,13 +146,14 @@ def test_det_clears_rows_by_cofactors_without_dividing(monkeypatch):
     expected = (d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1])
                 - d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0])
                 + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0]))
-    inside, calls = [], []
-    clear, div = linalg._clear_rows, scalar.poly_div_exact
+    inside, calls, cleared = [], [], []
+    clear, div = linalg.clear_rows, scalar.poly_div_exact
 
-    def traced_clear(mm):
+    def traced_clear(rows):
         inside.append(True)
+        cleared.append(len(rows))
         try:
-            return clear(mm)
+            return clear(rows)
         finally:
             inside.pop()
 
@@ -160,11 +161,10 @@ def test_det_clears_rows_by_cofactors_without_dividing(monkeypatch):
         calls.append(bool(inside))
         return div(f, g)
 
-    monkeypatch.setattr(linalg, "_clear_rows", traced_clear)
-    monkeypatch.setattr(linalg, "poly_div_exact", counting_div)
+    monkeypatch.setattr(linalg, "clear_rows", traced_clear)
     monkeypatch.setattr(scalar, "poly_div_exact", counting_div)
     assert det_bareiss(m) == expected
-    assert calls and not any(calls)
+    assert cleared == [3] and calls and not any(calls)
 
 
 def fraction_det(rows):
@@ -186,7 +186,7 @@ def fraction_det(rows):
 
 
 def test_constant_det_matches_fraction_elimination():
-    # rows are cleared to ints and every Bareiss step is an exact //
+    # the matrix is cleared to ints and every Bareiss step is an exact //
     rng = random.Random(24)
     t = EMPTY_TABLE
     seen = {"swap": 0, "singular": 0, "negative": 0, "large": 0}

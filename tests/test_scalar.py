@@ -403,7 +403,9 @@ def test_gcd_cofactors_multiply_back(monkeypatch, tries):
             assert h * cf == f and h * cg == g
             assert h == poly_gcd(f, g)
             assert poly_gcd(cf, cg).is_constant()
-            lcm = scalar.poly_lcm(f, g)
+            one = Poly.const(f.table, 1)
+            lcm = scalar.clear([Scalar.make(one, f), Scalar.make(one, g)])[0]
+            lcm = Poly.const(f.table, lcm) if isinstance(lcm, int) else lcm
             assert poly_div_exact(lcm, f) is not None and poly_div_exact(lcm, g) is not None
             assert Scalar.make(lcm * h, f * g).is_constant()
     assert results == heuristic
@@ -411,6 +413,74 @@ def test_gcd_cofactors_multiply_back(monkeypatch, tries):
     assert any(h.is_constant() for h, _, _ in results)
     with pytest.raises(ValueError):
         scalar.poly_gcd_cofactors(pairs[0][0], Poly.zero(pairs[0][0].table))
+
+
+def _values_to_clear(rng, t, kind):
+    """A list of Scalars to clear: constants, non-constant rational
+    functions with shared denominator factors, both, or none."""
+    a, b = (Scalar.from_symbol(t, x) for x in ("a", "b"))
+
+    def constant():
+        den = rng.choice((1, 2, 3, 4, 6, 9, 10 ** 20 + 7))
+        return Scalar.from_fraction(t, Fraction(rng.randint(-30, 30), den))
+
+    def symbolic():
+        while True:
+            num = a * rng.randint(1, 3) + b ** rng.randint(0, 2) * rng.randint(-4, 4)
+            den = ((a + rng.randint(1, 3)) ** rng.randint(0, 2)
+                   * (b - rng.randint(1, 2)) ** rng.randint(0, 1) * a ** rng.randint(0, 2))
+            v = num / den
+            if not v.is_constant():
+                return v
+
+    if kind == "empty":
+        return []
+    makers = {"constant": [constant], "symbolic": [symbolic],
+              "mixed": [constant, symbolic]}[kind]
+    values = [rng.choice(makers)() for _ in range(rng.randint(1, 6))]
+    if kind == "mixed":
+        values += [constant(), symbolic()]
+        rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("kind", ["constant", "symbolic", "mixed", "empty"])
+def test_clear_and_ratio_round_trip(kind):
+    """clear gives ints exactly when every value is constant, and Polys
+    otherwise; ratio(v * L, L) is v again; and L is the lcm: no factor of L
+    divides every numerator.  clear_rows clears each row in one ring."""
+    rng = random.Random(29)
+    t = SymbolTable(["a", "b"])
+    for _ in range(25):
+        values = _values_to_clear(rng, t, kind)
+        L, nums = scalar.clear(values)
+        ring = int if all(v.is_constant() for v in values) else Poly
+        assert type(L) is ring and [type(n) for n in nums] == [ring] * len(values)
+        assert [scalar.ratio(n, L, t) for n in nums] == values
+        if ring is int:
+            assert L == math.lcm(*(v.as_fraction().denominator for v in values))
+        else:
+            common = L
+            for n in nums:
+                common = poly_gcd(common, n)
+            assert common.is_constant()
+    # clear_rows picks one ring for all rows: a constant row meets Polys
+    rows = [_values_to_clear(rng, t, "constant"), _values_to_clear(rng, t, "symbolic")]
+    for row, (L, nums) in zip(rows, scalar.clear_rows(rows)):
+        assert type(L) is Poly and [scalar.ratio(n, L, t) for n in nums] == row
+    assert scalar.ratio(3, -6, t) == Scalar.from_fraction(t, Fraction(-1, 2))
+    with pytest.raises(DivisionByZero):
+        scalar.ratio(1, 0, t)
+
+
+def test_poly_is_a_ring_element():
+    t = SymbolTable(["a", "b"])
+    f, g = sc("a^2 - 3*b/2", t).num, sc("a + b", t).num
+    assert not Poly.zero(t) and f and Poly.const(t, 1)
+    assert (f * g) // g == f and (f * g) // f == g
+    assert f // Poly.const(t, Fraction(1, 2)) == f.scale(2)
+    with pytest.raises(ArithmeticError):
+        f // g
 
 
 def _schoolbook_mul(a, b):
